@@ -6,8 +6,9 @@ determinacy formulas are propositional after finite-domain encoding
 queries.
 
 Features: two-watched-literal propagation, first-UIP conflict-clause
-learning with recursive minimization, EVSIDS branching, phase saving,
-Luby restarts, and LBD-based learned-clause deletion.
+learning with recursive minimization, EVSIDS branching over a lazy
+order heap, phase saving, Luby restarts, and length-based
+learned-clause deletion (the longer half goes first).
 
 The solver is *incremental*: the clause database — including learned
 clauses and root-level units — survives ``solve()`` calls, so a
@@ -17,11 +18,17 @@ the first decisions of the search (MiniSat's interface).  When the
 instance is unsatisfiable *under the assumptions*, final-conflict
 analysis reports the subset of assumptions in the unsat core
 (``SolveResult.core``), which callers use for fault localization.
+
+Internally a literal is a *code*: variable ``v`` is ``2v`` when
+positive and ``2v + 1`` when negated, so negation is ``code ^ 1`` and
+per-literal tables (values, watch lists) are plain lists indexed by
+code.  DIMACS integers appear only at the public surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SolverError
@@ -29,6 +36,16 @@ from repro.errors import SolverError
 UNDEF = 0
 TRUE = 1
 FALSE = -1
+
+
+def _code(lit: int) -> int:
+    """DIMACS literal -> literal code."""
+    return lit << 1 if lit > 0 else (-lit << 1) | 1
+
+
+def _dimacs(code: int) -> int:
+    """Literal code -> DIMACS literal."""
+    return -(code >> 1) if code & 1 else code >> 1
 
 
 @dataclass
@@ -83,8 +100,10 @@ class Solver:
         self.num_vars = 0
         self._clauses: List[List[int]] = []
         self._learned: List[List[int]] = []
-        self._watches: Dict[int, List[List[int]]] = {}
-        self._assign: List[int] = [UNDEF]
+        # Indexed by literal code: the clauses to visit when that
+        # literal becomes true (they watch its negation).
+        self._watches: List[List[List[int]]] = [[], []]
+        self._vals: List[int] = [UNDEF, UNDEF]
         self._level: List[int] = [0]
         self._reason: List[Optional[List[int]]] = [None]
         self._trail: List[int] = []
@@ -93,6 +112,20 @@ class Solver:
         self._activity: List[float] = [0.0]
         self._phase: List[bool] = [False]
         self._occurs: List[bool] = [False]
+        # The order heap: lazy (-activity, var) entries, so the heap
+        # minimum is the most active variable, ties to the lowest
+        # index — the tie-break of a linear scan over 1..num_vars.
+        # ``_queued[var]`` is the activity of var's newest entry, or
+        # -1.0 when it has none; entries whose activity is no longer
+        # current are stale and skipped when popped.  Invariant: every
+        # unassigned variable that occurs in a clause has an entry at
+        # its current activity.
+        self._order: List[tuple] = []
+        self._queued: List[float] = [-1.0]
+        # One shared int object per literal code: clauses hold these
+        # instead of a fresh int per occurrence (codes above 256 are
+        # not cached by CPython, and clauses hold most of the memory).
+        self._codes: List[int] = [0, 1]
         self._var_inc = 1.0
         self._ok = True
         self.conflicts = 0
@@ -107,7 +140,8 @@ class Solver:
     def ensure_vars(self, n: int) -> None:
         while self.num_vars < n:
             self.num_vars += 1
-            self._assign.append(UNDEF)
+            self._vals += (UNDEF, UNDEF)
+            self._watches += ([], [])
             self._level.append(0)
             self._reason.append(None)
             # With a nonzero branching seed, start each variable's
@@ -122,8 +156,8 @@ class Solver:
             )
             self._phase.append(self._phase_default)
             self._occurs.append(False)
-            self._watches[self.num_vars] = []
-            self._watches[-self.num_vars] = []
+            self._queued.append(-1.0)
+            self._codes += (self.num_vars << 1, (self.num_vars << 1) | 1)
 
     def add_clause(self, lits: Sequence[int]) -> None:
         """Add a problem clause; duplicate literals removed, tautologies
@@ -138,28 +172,35 @@ class Solver:
         """
         if not self._ok:
             return
-        if self._decision_level() != 0:
+        if self._trail_lim:
             # A real check, not an assert: simplifying the clause
             # against search-level assignments below would silently
             # corrupt it (and -O strips asserts).
             raise SolverError("clauses can only be added at decision level 0")
+        vals = self._vals
+        occurs = self._occurs
+        codes = self._codes
         seen: set[int] = set()
         clause: List[int] = []
         for lit in lits:
             if lit == 0:
                 raise SolverError("literal 0 is not allowed")
-            self.ensure_vars(abs(lit))
+            var = lit if lit > 0 else -lit
+            if var > self.num_vars:
+                self.ensure_vars(var)
             if -lit in seen:
                 return  # tautology
             if lit in seen:
                 continue
-            value = self._value(lit)
+            code = codes[var << 1 if lit > 0 else (var << 1) | 1]
+            value = vals[code]
             if value == TRUE:
                 return  # satisfied at the root: implied by a unit
             seen.add(lit)
             if value != FALSE:
-                clause.append(lit)
-            self._occurs[abs(lit)] = True
+                clause.append(code)
+            if not occurs[var]:
+                self._occur(var)
         if not clause:
             self._ok = False
             return
@@ -171,26 +212,32 @@ class Solver:
         self._watch(clause)
 
     def _watch(self, clause: List[int]) -> None:
-        self._watches[-clause[0]].append(clause)
-        self._watches[-clause[1]].append(clause)
+        self._watches[clause[0] ^ 1].append(clause)
+        self._watches[clause[1] ^ 1].append(clause)
+
+    def _occur(self, var: int) -> None:
+        """``var`` now occurs in a clause: it becomes a branching
+        candidate.  Variables in no clause (e.g. eliminated by
+        preprocessing) are free: branching on them only pads the
+        trail."""
+        self._occurs[var] = True
+        act = self._activity[var]
+        heappush(self._order, (-act, var))
+        self._queued[var] = act
 
     # -- assignment helpers ---------------------------------------------------
 
-    def _value(self, lit: int) -> int:
-        v = self._assign[abs(lit)]
-        if v == UNDEF:
-            return UNDEF
-        return v if lit > 0 else -v
-
     def _enqueue(self, lit: int, reason: Optional[List[int]]) -> bool:
-        val = self._value(lit)
+        vals = self._vals
+        val = vals[lit]
         if val == FALSE:
             return False
         if val == TRUE:
             return True
-        var = abs(lit)
-        self._assign[var] = TRUE if lit > 0 else FALSE
-        self._level[var] = self._decision_level()
+        vals[lit] = TRUE
+        vals[lit ^ 1] = FALSE
+        var = lit >> 1
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
         return True
@@ -202,91 +249,124 @@ class Solver:
 
     def _propagate(self) -> Optional[List[int]]:
         """Unit propagation; returns a conflicting clause or None."""
-        while self._queue_head < len(self._trail):
-            lit = self._trail[self._queue_head]
-            self._queue_head += 1
-            self.propagations += 1
-            watchers = self._watches[lit]
-            self._watches[lit] = []
-            i = 0
-            n = len(watchers)
-            while i < n:
-                clause = watchers[i]
-                i += 1
-                # Normalize: watched literals are clause[0], clause[1].
-                if clause[0] == -lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+        trail = self._trail
+        watches = self._watches
+        vals = self._vals
+        level = self._level
+        reasons = self._reason
+        cur_level = len(self._trail_lim)
+        start = head = self._queue_head
+        conflict = None
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            false_lit = lit ^ 1
+            watchers = watches[lit]
+            kept: List[List[int]] = []
+            watches[lit] = kept
+            rest = iter(watchers)
+            for clause in rest:
+                # Normalize: the false watch goes to clause[1].
                 first = clause[0]
-                if self._value(first) == TRUE:
-                    self._watches[lit].append(clause)
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if vals[first] == TRUE:
+                    kept.append(clause)
                     continue
                 # Look for a replacement watch.
-                found = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != FALSE:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[-clause[1]].append(clause)
-                        found = True
+                    other = clause[k]
+                    if vals[other] != FALSE:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[other ^ 1].append(clause)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                self._watches[lit].append(clause)
-                if not self._enqueue(first, clause):
-                    # Conflict: restore remaining watchers first.
-                    self._watches[lit].extend(watchers[i:])
-                    return clause
-        return None
+                else:
+                    # Clause is unit or conflicting.
+                    kept.append(clause)
+                    if vals[first] == FALSE:
+                        # Conflict: restore remaining watchers first.
+                        kept.extend(rest)
+                        conflict = clause
+                        break
+                    vals[first] = TRUE
+                    vals[first ^ 1] = FALSE
+                    var = first >> 1
+                    level[var] = cur_level
+                    reasons[var] = clause
+                    trail.append(first)
+            if conflict is not None:
+                break
+        self.propagations += head - start
+        self._queue_head = head
+        return conflict
 
     # -- conflict analysis -------------------------------------------------------
 
     def _analyze(self, conflict: List[int]) -> tuple[List[int], int]:
         """First-UIP learning; returns (learned clause, backjump level)."""
+        level = self._level
+        reasons = self._reason
+        trail = self._trail
+        activity = self._activity
+        var_inc = self._var_inc
         learned: List[int] = [0]  # placeholder for the asserting literal
         seen = [False] * (self.num_vars + 1)
         counter = 0
-        lit = 0
+        lit = 0  # no literal has code 0
         reason: Optional[List[int]] = conflict
-        index = len(self._trail)
-        cur_level = self._decision_level()
+        index = len(trail)
+        cur_level = len(self._trail_lim)
 
         while True:
             assert reason is not None
             for q in reason:
                 if q == lit:
                     continue
-                var = abs(q)
-                if not seen[var] and self._level[var] > 0:
+                var = q >> 1
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump(var)
-                    if self._level[var] >= cur_level:
+                    # EVSIDS bump.  Every variable bumped here is
+                    # assigned, so none needs an order-heap entry now:
+                    # _backtrack queues it when it is unassigned.
+                    act = activity[var] + var_inc
+                    activity[var] = act
+                    if act > 1e100:
+                        self._rescale()
+                        var_inc = self._var_inc
+                    if level[var] >= cur_level:
                         counter += 1
                     else:
                         learned.append(q)
             # Pick the next literal to expand from the trail.
             while True:
                 index -= 1
-                lit = self._trail[index]
-                if seen[abs(lit)]:
+                lit = trail[index]
+                if seen[lit >> 1]:
                     break
             counter -= 1
             if counter == 0:
-                learned[0] = -lit
+                learned[0] = lit ^ 1
                 break
-            reason = self._reason[abs(lit)]
-            seen[abs(lit)] = False
+            reason = reasons[lit >> 1]
+            seen[lit >> 1] = False
 
         learned = self._minimize(learned, seen)
         if len(learned) == 1:
             return learned, 0
-        # Backjump to the second-highest level in the clause.
-        levels = sorted(
-            (self._level[abs(q)] for q in learned[1:]), reverse=True
-        )
-        # Move the second-watch literal into position 1.
-        best = max(range(1, len(learned)), key=lambda i: self._level[abs(learned[i])])
+        # Backjump to the highest level among learned[1:], and move the
+        # first literal at that level into position 1 (second watch).
+        best = 1
+        back_level = level[learned[1] >> 1]
+        for i in range(2, len(learned)):
+            lv = level[learned[i] >> 1]
+            if lv > back_level:
+                best = i
+                back_level = lv
         learned[1], learned[best] = learned[best], learned[1]
-        return learned, levels[0]
+        return learned, back_level
 
     def _minimize(self, learned: List[int], seen: List[bool]) -> List[int]:
         """Remove literals implied by the rest of the clause (recursive
@@ -302,7 +382,7 @@ class Solver:
     def _redundant(
         self, lit: int, seen: List[bool], memo: Dict[int, bool], depth: int
     ) -> bool:
-        var = abs(lit)
+        var = lit >> 1
         cached = memo.get(var)
         if cached is not None:
             return cached
@@ -312,12 +392,11 @@ class Solver:
         if reason is None:
             memo[var] = False
             return False
+        level = self._level
         result = True
         for q in reason:
-            if abs(q) == var:
-                continue
-            qvar = abs(q)
-            if self._level[qvar] == 0 or seen[qvar]:
+            qvar = q >> 1
+            if qvar == var or level[qvar] == 0 or seen[qvar]:
                 continue
             if not self._redundant(q, seen, memo, depth + 1):
                 result = False
@@ -325,49 +404,87 @@ class Solver:
         memo[var] = result
         return result
 
-    def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for i in range(1, self.num_vars + 1):
-                self._activity[i] *= 1e-100
-            self._var_inc *= 1e-100
+    def _rescale(self) -> None:
+        """Scale every activity down by 1e-100 once one passes 1e100.
+        Every key in the order heap changes, so it is rebuilt."""
+        for i in range(1, self.num_vars + 1):
+            self._activity[i] *= 1e-100
+        self._var_inc *= 1e-100
+        self._rebuild_order()
 
     def _decay(self) -> None:
         self._var_inc /= self._var_decay
 
+    def _rebuild_order(self) -> None:
+        """Refill the order heap with exactly one current entry per
+        unassigned occurring variable, dropping every stale one."""
+        activity = self._activity
+        vals = self._vals
+        occurs = self._occurs
+        queued = self._queued
+        entries = []
+        for var in range(1, self.num_vars + 1):
+            if occurs[var] and vals[var << 1] == UNDEF:
+                act = activity[var]
+                entries.append((-act, var))
+                queued[var] = act
+            else:
+                queued[var] = -1.0
+        heapify(entries)
+        self._order[:] = entries
+
     # -- backtracking ---------------------------------------------------------
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
-            var = abs(lit)
-            self._phase[var] = self._assign[var] == TRUE
-            self._assign[var] = UNDEF
-            self._reason[var] = None
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._queue_head = len(self._trail)
+        limit = trail_lim[level]
+        trail = self._trail
+        vals = self._vals
+        phase = self._phase
+        reasons = self._reason
+        activity = self._activity
+        queued = self._queued
+        order = self._order
+        for i in range(len(trail) - 1, limit - 1, -1):
+            lit = trail[i]
+            var = lit >> 1
+            phase[var] = not lit & 1
+            vals[lit] = UNDEF
+            vals[lit ^ 1] = UNDEF
+            reasons[var] = None
+            act = activity[var]
+            if queued[var] != act:
+                heappush(order, (-act, var))
+                queued[var] = act
+        del trail[limit:]
+        del trail_lim[level:]
+        self._queue_head = len(trail)
+        # Stale entries pile up between picks (a bumped variable is
+        # re-queued at each new activity); bound the heap so restart-
+        # heavy searches do not grow memory with the conflict count.
+        if len(order) > _ORDER_SLACK * self.num_vars:
+            self._rebuild_order()
 
     # -- branching --------------------------------------------------------------
 
     def _pick_branch(self) -> int:
-        best_var = 0
-        best_act = -1.0
-        for var in range(1, self.num_vars + 1):
-            # Vars in no clause (e.g. eliminated by preprocessing) are
-            # free: branching on them only pads the trail.
-            if (
-                self._occurs[var]
-                and self._assign[var] == UNDEF
-                and self._activity[var] > best_act
-            ):
-                best_act = self._activity[var]
-                best_var = var
-        if best_var == 0:
-            return 0
-        return best_var if self._phase[best_var] else -best_var
+        """The unassigned occurring variable of highest activity,
+        lowest index first on ties, as a literal code in its saved
+        phase; 0 when every candidate is assigned."""
+        order = self._order
+        activity = self._activity
+        queued = self._queued
+        vals = self._vals
+        while order:
+            neg_act, var = heappop(order)
+            if -neg_act != activity[var]:
+                continue  # stale: pushed at an older activity
+            queued[var] = -1.0
+            if vals[var << 1] == UNDEF:
+                return var << 1 if self._phase[var] else (var << 1) | 1
+        return 0
 
     # -- main loop ---------------------------------------------------------------
 
@@ -389,16 +506,20 @@ class Solver:
         self._backtrack(0)
         if not self._ok:
             return self._result(False)
-        assumptions = list(assumptions)
+        codes: List[int] = []
         for lit in assumptions:
             if lit == 0:
                 raise SolverError("literal 0 is not allowed")
-            self.ensure_vars(abs(lit))
-            self._occurs[abs(lit)] = True
+            var = abs(lit)
+            self.ensure_vars(var)
+            if not self._occurs[var]:
+                self._occur(var)
+            codes.append(_code(lit))
         if self._propagate() is not None:
             self._ok = False
             return self._result(False)
 
+        vals = self._vals
         restart_unit = self._restart_unit
         luby_index = 1
         geometric_interval = float(restart_unit)
@@ -467,9 +588,9 @@ class Solver:
             # Re-establish assumptions first: decision level k holds
             # assumption k (or a dummy level when it already holds).
             lit = 0
-            while self._decision_level() < len(assumptions):
-                p = assumptions[self._decision_level()]
-                v = self._value(p)
+            while self._decision_level() < len(codes):
+                p = codes[self._decision_level()]
+                v = vals[p]
                 if v == TRUE:
                     self._trail_lim.append(len(self._trail))
                 elif v == FALSE:
@@ -479,7 +600,7 @@ class Solver:
                 else:
                     lit = p
                     break
-            if lit == 0 and self._decision_level() >= len(assumptions):
+            if lit == 0 and self._decision_level() >= len(codes):
                 lit = self._pick_branch()
                 if lit == 0:
                     result = self._result(True)
@@ -495,31 +616,32 @@ class Solver:
         assumption.  Walk the implication graph of ¬p back to decisions
         to collect the implicated assumptions (MiniSat's analyzeFinal).
         """
-        core = {p}
-        var0 = abs(p)
+        core = {_dimacs(p)}
+        var0 = p >> 1
         if self._level[var0] == 0:
             return sorted(core)  # the clauses alone imply ¬p
         seen = {var0}
         start = self._trail_lim[0]
         for i in range(len(self._trail) - 1, start - 1, -1):
             lit = self._trail[i]
-            var = abs(lit)
+            var = lit >> 1
             if var not in seen:
                 continue
             seen.discard(var)
             reason = self._reason[var]
             if reason is None:
-                core.add(lit)  # a decision == an earlier assumption
+                core.add(_dimacs(lit))  # a decision == an earlier assumption
             else:
                 for q in reason:
-                    qv = abs(q)
+                    qv = q >> 1
                     if qv != var and self._level[qv] > 0:
                         seen.add(qv)
         return sorted(core)
 
     def _reduce_learned(self) -> None:
-        """Drop the less active half of learned clauses (keeping those
-        currently used as reasons)."""
+        """Keep the shorter half of the learned clauses (by length);
+        of the longer half, keep only binaries and clauses currently
+        used as reasons."""
         reasons = {id(r) for r in self._reason if r is not None}
         self._learned.sort(key=len)
         keep = self._learned[: len(self._learned) // 2]
@@ -527,18 +649,18 @@ class Solver:
         kept_drop = [c for c in drop if id(c) in reasons or len(c) <= 2]
         removed = {id(c) for c in drop if id(c) not in reasons and len(c) > 2}
         self._learned = keep + kept_drop
-        for lit in list(self._watches):
-            self._watches[lit] = [
-                c for c in self._watches[lit] if id(c) not in removed
-            ]
+        for watchers in self._watches:
+            if watchers:
+                watchers[:] = [c for c in watchers if id(c) not in removed]
 
     def _result(self, sat: bool, core: Optional[List[int]] = None) -> SolveResult:
         assignment: Dict[int, bool] = {}
         if sat:
+            vals = self._vals
             assignment = {
-                var: self._assign[var] == TRUE
+                var: vals[var << 1] == TRUE
                 for var in range(1, self.num_vars + 1)
-                if self._assign[var] != UNDEF
+                if vals[var << 1] != UNDEF
             }
         return SolveResult(
             sat=sat,
@@ -556,7 +678,7 @@ class Solver:
         """The literals fixed at decision level 0 (problem units plus
         learned units)."""
         limit = self._trail_lim[0] if self._trail_lim else len(self._trail)
-        return list(self._trail[:limit])
+        return [_dimacs(lit) for lit in self._trail[:limit]]
 
     def clause_database(
         self, include_learned: bool = False
@@ -571,11 +693,15 @@ class Solver:
             # clause reproduces that verdict on re-read.
             return [[]]
         clauses: List[List[int]] = [[lit] for lit in self.root_units()]
-        clauses.extend(list(c) for c in self._clauses)
+        clauses.extend([_dimacs(q) for q in c] for c in self._clauses)
         if include_learned:
-            clauses.extend(list(c) for c in self._learned)
+            clauses.extend([_dimacs(q) for q in c] for c in self._learned)
         return clauses
 
+
+#: The order heap is rebuilt once it holds more than this many entries
+#: per variable; a rebuild leaves at most one per variable.
+_ORDER_SLACK = 2
 
 _JITTER_MASK = (1 << 64) - 1
 

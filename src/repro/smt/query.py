@@ -29,7 +29,6 @@ Two interfaces:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -42,30 +41,6 @@ from repro.sat.solver import Solver
 #: pure-Python simplification passes cost more than the CDCL saves on
 #: instances this size (measured on the §6 corpus; see docs/solver.md).
 PREPROCESS_MIN_CLAUSES = 6000
-
-#: Sentinel distinguishing "caller did not pass the deprecated
-#: use_preprocessing= keyword" from an explicit None.
-_UNSET = object()
-
-
-def _resolve_preprocessing(preprocessing, use_preprocessing):
-    """Fold the deprecated ``use_preprocessing=`` spelling into the
-    canonical ``preprocessing=`` one (one release of compatibility)."""
-    if use_preprocessing is _UNSET:
-        return preprocessing
-    warnings.warn(
-        "the use_preprocessing= keyword is deprecated; "
-        "pass preprocessing= instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if preprocessing is not None:
-        raise TypeError(
-            "pass either preprocessing= or the deprecated "
-            "use_preprocessing=, not both"
-        )
-    return use_preprocessing
-
 
 @dataclass
 class QueryResult:
@@ -93,8 +68,7 @@ class Query:
 
     ``preprocessing`` — None (default) preprocesses only instances
     with at least :data:`PREPROCESS_MIN_CLAUSES` clauses; True/False
-    force it on/off.  (The old ``use_preprocessing=`` keyword still
-    works for one release, with a ``DeprecationWarning``.)
+    force it on/off.
 
     ``backend`` — a zero-argument factory producing the
     :class:`repro.sat.backend.SolverBackend` each ``check`` solves on
@@ -106,13 +80,10 @@ class Query:
         bank: TermBank,
         preprocessing: Optional[bool] = None,
         backend: Optional[Callable[[], "Solver"]] = None,
-        use_preprocessing=_UNSET,
         subterm_cache=None,
     ):
         self.bank = bank
-        self.preprocessing = _resolve_preprocessing(
-            preprocessing, use_preprocessing
-        )
+        self.preprocessing = preprocessing
         self.backend = backend
         self._assertions: list[Term] = []
         #: Optional :class:`repro.logic.cnf.SubtermCache` — persisted
@@ -123,11 +94,6 @@ class Query:
         #: Subformula encodings served from :attr:`subterm_cache` by
         #: the last :meth:`check`.
         self.cnf_cache_hits = 0
-
-    @property
-    def use_preprocessing(self) -> Optional[bool]:
-        """Deprecated alias of :attr:`preprocessing`."""
-        return self.preprocessing
 
     def assert_term(self, term: Term) -> None:
         self._assertions.append(term)
@@ -198,9 +164,7 @@ class IncrementalQuery:
     ``preprocessing`` — None (default) preprocesses only when the
     clause database at the first ``check`` has at least
     :data:`PREPROCESS_MIN_CLAUSES` clauses; True/False force it.  The
-    cost is paid once and amortized over every later check.  (The old
-    ``use_preprocessing=`` keyword still works for one release, with a
-    ``DeprecationWarning``.)
+    cost is paid once and amortized over every later check.
 
     ``backend`` — a zero-argument factory producing the
     :class:`repro.sat.backend.SolverBackend` this query's lifetime of
@@ -214,12 +178,9 @@ class IncrementalQuery:
         bank: TermBank,
         preprocessing: Optional[bool] = None,
         backend: Optional[Callable[[], "Solver"]] = None,
-        use_preprocessing=_UNSET,
     ):
         self.bank = bank
-        self.preprocessing = _resolve_preprocessing(
-            preprocessing, use_preprocessing
-        )
+        self.preprocessing = preprocessing
         self.cnf = CNF()
         self._encoder = TseitinEncoder(self.cnf)
         self._solver = backend() if backend is not None else Solver()
@@ -237,11 +198,6 @@ class IncrementalQuery:
         #: conflicts.
         self.conflicts = 0
         self.decisions = 0
-
-    @property
-    def use_preprocessing(self) -> Optional[bool]:
-        """Deprecated alias of :attr:`preprocessing`."""
-        return self.preprocessing
 
     @property
     def solver(self):

@@ -1,11 +1,10 @@
 """The pluggable solver-backend layer: configs, spec parsing,
 portfolio racing, the external-solver bridge, and the query-layer
-plumbing (including the deprecated keyword shims)."""
+plumbing."""
 
 import os
 import random
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -505,22 +504,12 @@ class TestQueryBackendPlumbing:
         assert result.sat
         assert result.named_model["b"] is True
 
-    def test_use_preprocessing_keyword_warns_but_works(self):
+    def test_use_preprocessing_keyword_rejected(self):
         bank = TermBank()
-        with pytest.warns(DeprecationWarning, match="use_preprocessing"):
-            q = Query(bank, use_preprocessing=False)
-        assert q.preprocessing is False
-        assert q.use_preprocessing is False
-        with pytest.warns(DeprecationWarning):
-            iq = IncrementalQuery(bank, use_preprocessing=True)
-        assert iq.preprocessing is True
-
-    def test_both_spellings_together_rejected(self):
-        bank = TermBank()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(TypeError):
-                Query(bank, preprocessing=True, use_preprocessing=True)
+        with pytest.raises(TypeError):
+            Query(bank, use_preprocessing=False)
+        with pytest.raises(TypeError):
+            IncrementalQuery(bank, use_preprocessing=True)
 
 
 @settings(max_examples=20, deadline=None)
