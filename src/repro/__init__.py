@@ -40,8 +40,10 @@ from importlib import import_module
 # witness; 1.4.0: the static analyzer (repro.analysis.lint) ships and
 # verify-batch rows gain a lint block; 1.5.0: the pluggable
 # SolverBackend layer (portfolio racing, cube-and-conquer, external
-# solvers) and verify-batch rows gain ``solver_backend``.
-__version__ = "1.6.0"
+# solvers) and verify-batch rows gain ``solver_backend``; 1.7.0: that
+# backend layer is removed — every query runs on the one CDCL solver
+# and rows drop ``solver_backend``.
+__version__ = "1.7.0"
 
 #: name -> defining module.  A static literal on purpose: the import
 #: scanner behind `rehearsal testmap` parses this table to resolve
@@ -54,22 +56,17 @@ _LAZY_EXPORTS = {
     "DependencyCycleError": "repro.errors",
     "DeterminismOptions": "repro.analysis.determinism",
     "DeterminismResult": "repro.analysis.determinism",
-    "ExternalBackend": "repro.sat.external",
     "IdempotenceResult": "repro.analysis.idempotence",
     "ManifestResult": "repro.service",
-    "PortfolioBackend": "repro.sat.portfolio",
     "PuppetEvalError": "repro.errors",
     "PuppetSyntaxError": "repro.errors",
     "Rehearsal": "repro.core.pipeline",
     "RehearsalDaemon": "repro.service.daemon",
     "ReproError": "repro.errors",
     "ResourceModelError": "repro.errors",
-    "SolverBackend": "repro.sat.backend",
-    "SolverConfig": "repro.sat.backend",
     "TieredVerdictCache": "repro.service.tiered",
     "VerdictCache": "repro.service",
     "VerificationReport": "repro.core.pipeline",
-    "parse_backend_spec": "repro.sat.backend",
     "verify_batch": "repro.service",
 }
 

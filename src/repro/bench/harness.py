@@ -340,47 +340,6 @@ def corpus_determinism_rows(
     return rows
 
 
-# -- parallel solving (beyond the paper: the repro.sat backend figure) --------
-
-
-def portfolio_speedup_rows(
-    names: Sequence[str],
-    workers: int = 4,
-    repeats: int = 9,
-) -> List[Tuple[str, float, float, str]]:
-    """(benchmark, sequential s, parallel s, speedup) comparing the
-    classic sequential determinacy check against the cube-and-conquer
-    path (``DeterminismOptions(solver_workers=N)`` — see
-    docs/solver.md).
-
-    Times the determinacy analysis alone (compile excluded — the
-    backend layer only touches exploration + solving) and takes the
-    best of ``repeats`` runs per configuration, the standard guard
-    against scheduler noise on loaded CI machines.  The parallel win
-    on non-deterministic manifests comes from the eager
-    first-divergence short-circuit: exploration stops at the first
-    SAT divergence instead of enumerating every final state.
-    """
-    rows: List[Tuple[str, float, float, str]] = []
-    parallel_options = DeterminismOptions(solver_workers=workers)
-    for name in names:
-        graph, programs = _compile(name)
-        seq_best = float("inf")
-        par_best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            seq_result = check_determinism(graph, programs, DeterminismOptions())
-            seq_best = min(seq_best, time.perf_counter() - start)
-            start = time.perf_counter()
-            par_result = check_determinism(graph, programs, parallel_options)
-            par_best = min(par_best, time.perf_counter() - start)
-        assert seq_result.deterministic == par_result.deterministic, name
-        rows.append(
-            (name, seq_best, par_best, f"{seq_best / par_best:.2f}x")
-        )
-    return rows
-
-
 # -- batch throughput (beyond the paper: the repro.service figure) ------------
 
 

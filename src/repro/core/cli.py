@@ -53,14 +53,8 @@ manifest produced a verdict, and with ``--strict`` every verdict is
 positive); 1 — a negative or missing verdict (batch: some manifest
 errored, a verdict failed under ``--strict``, or the final ``--json``
 write failed); 2 — bad invocation (unreadable manifest, no manifests
-found, invalid ``--workers``/``--portfolio``/``--solver-workers``, a
-bad or unresolvable ``--solver`` spec, ``--json`` pointing at a
-directory or into a missing one).
-
-Parallel solving (see docs/solver.md): ``--portfolio K`` races K
-solver configurations per query, ``--solver-workers N`` turns on
-cube-and-conquer exploration, and ``--solver external:auto`` shells
-out to a SAT-competition binary found on PATH.
+found, invalid ``--workers``, ``--json`` pointing at a directory or
+into a missing one).
 """
 
 from __future__ import annotations
@@ -70,14 +64,11 @@ import os
 import sys
 from pathlib import Path as OsPath
 
-from typing import Optional
-
 from repro.analysis.determinism import DeterminismOptions
 from repro.core.pipeline import Rehearsal
 from repro.core.report import render_batch_report, render_report
 from repro.resources.compiler import ModelContext
 from repro.resources.package_db import PackageDatabase
-from repro.sat.backend import parse_backend_spec
 
 
 def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
@@ -127,33 +118,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
         "symbolic exploration and SAT entirely for such manifests",
     )
     parser.add_argument(
-        "--solver",
-        default="cdcl",
-        metavar="SPEC",
-        help="SAT backend: 'cdcl' (pure-Python reference, default), "
-        "'portfolio[:K]' (race K solver configurations per query), or "
-        "'external:auto|<name-or-path>' (a SAT-competition binary on "
-        "PATH — kissat, cadical, minisat)",
-    )
-    parser.add_argument(
-        "--portfolio",
-        type=int,
-        default=1,
-        metavar="K",
-        help="race K diversified CDCL configurations on every SAT "
-        "query, first answer (by deterministic tie-breaking) wins "
-        "(default: 1, no racing)",
-    )
-    parser.add_argument(
-        "--solver-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel solve width: cube-and-conquer exploration of "
-        "the reachable-state DAG plus the process pool for portfolio "
-        "helpers (default: 1, sequential)",
-    )
-    parser.add_argument(
         "--incremental",
         action="store_true",
         help="reuse intermediate results (CNF blocks, commutativity "
@@ -170,24 +134,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _validate_solver_flags(args: argparse.Namespace) -> Optional[str]:
-    """Validate --solver/--portfolio/--solver-workers before any pool
-    or backend is constructed; returns an error message or None."""
-    if args.portfolio < 1:
-        return "--portfolio must be >= 1"
-    if args.solver_workers < 1:
-        return "--solver-workers must be >= 1"
-    try:
-        parse_backend_spec(
-            args.solver,
-            workers=args.solver_workers,
-            portfolio=args.portfolio,
-        )
-    except ValueError as exc:
-        return f"--solver: {exc}"
-    return None
-
-
 def _options_from_args(args: argparse.Namespace) -> DeterminismOptions:
     # --incremental only ever turns the store ON: without the flag the
     # dataclass default applies, which honors REHEARSAL_INCREMENTAL=1.
@@ -202,9 +148,6 @@ def _options_from_args(args: argparse.Namespace) -> DeterminismOptions:
         use_elimination=not args.no_elimination,
         timeout_seconds=args.timeout,
         lint_prefilter=args.lint_prefilter,
-        solver=args.solver,
-        portfolio=args.portfolio,
-        solver_workers=args.solver_workers,
         **extra,
     )
 
@@ -245,10 +188,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def run_verify(argv) -> int:
     args = build_arg_parser().parse_args(argv)
-    problem = _validate_solver_flags(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     try:
         source = OsPath(args.manifest).read_text(encoding="utf8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -358,10 +297,6 @@ def run_verify_batch(argv) -> int:
     args = build_batch_parser().parse_args(argv)
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    problem = _validate_solver_flags(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
         return 2
 
     if args.json not in (None, "-"):
@@ -536,8 +471,8 @@ def run_serve(argv) -> int:
     from repro.service.daemon import DaemonConfig, run_daemon
 
     args = build_serve_parser().parse_args(argv)
-    problem = _validate_solver_flags(args)
-    if problem is None and args.workers < 1:
+    problem = None
+    if args.workers < 1:
         problem = "--workers must be >= 1"
     if problem is None and args.port < 0:
         problem = "--port must be >= 0"
@@ -917,16 +852,6 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         "disagreement; races lint misses are counted, not failures",
     )
     parser.add_argument(
-        "--portfolio",
-        type=int,
-        default=1,
-        metavar="K",
-        help="verify every generated case with a K-member solver "
-        "portfolio instead of the sequential backend, keeping the "
-        "differential oracle honest against the parallel path "
-        "(default: 1)",
-    )
-    parser.add_argument(
         "--incremental",
         action="store_true",
         help="verify every generated case with the persistent "
@@ -986,9 +911,6 @@ def run_fuzz(argv) -> int:
     if args.cases is not None and args.cases < 1:
         print("error: --cases must be >= 1", file=sys.stderr)
         return 2
-    if args.portfolio < 1:
-        print("error: --portfolio must be >= 1", file=sys.stderr)
-        return 2
     budget = args.budget
     if budget is None:
         # An explicit --cases must never be truncated by the default
@@ -1039,13 +961,7 @@ def run_fuzz(argv) -> int:
         shrink=args.shrink,
         generator_config=config,
         options=(
-            DeterminismOptions(
-                portfolio=args.portfolio,
-                incremental=args.incremental
-                or DeterminismOptions().incremental,
-            )
-            if args.portfolio > 1 or args.incremental
-            else None
+            DeterminismOptions(incremental=True) if args.incremental else None
         ),
         progress=progress,
         lint=args.lint,

@@ -1,45 +1,18 @@
-"""SAT solving substrate: CDCL solver, DIMACS I/O, brute-force oracle,
-and the pluggable backend layer (portfolio racing, cube-and-conquer
-scheduling, external SAT-competition solvers — see docs/solver.md)."""
+"""SAT solving substrate: CDCL solver, DIMACS I/O and brute-force
+oracle (see docs/solver.md)."""
 
-from repro.sat.backend import (
-    DEFAULT_CONFIG,
-    SolverBackend,
-    SolverConfig,
-    backend_label,
-    default_portfolio,
-    make_solver,
-    parse_backend_spec,
-)
 from repro.sat.brute import brute_force_solve, check_assignment, count_models
-from repro.sat.cube import Cube, merge_stats, schedule, split_frontier
 from repro.sat.dimacs import dimacs_to_string, read_dimacs, write_dimacs
-from repro.sat.external import ExternalBackend, find_external_solver
-from repro.sat.portfolio import PortfolioBackend
 from repro.sat.solver import SolveResult, Solver, solve_cnf
 
 __all__ = [
-    "Cube",
-    "DEFAULT_CONFIG",
-    "ExternalBackend",
-    "PortfolioBackend",
     "SolveResult",
     "Solver",
-    "SolverBackend",
-    "SolverConfig",
-    "backend_label",
     "brute_force_solve",
     "check_assignment",
     "count_models",
-    "default_portfolio",
     "dimacs_to_string",
-    "find_external_solver",
-    "make_solver",
-    "merge_stats",
-    "parse_backend_spec",
     "read_dimacs",
-    "schedule",
     "solve_cnf",
-    "split_frontier",
     "write_dimacs",
 ]

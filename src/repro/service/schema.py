@@ -20,17 +20,17 @@ from repro.core.pipeline import VerificationReport
 #: ``distinct_finals``).  Version 3: rows grew the per-manifest
 #: ``lint`` block (the static analyzer's verdict, rule counts and
 #: diagnostics — see :mod:`repro.analysis.lint`).  Version 4: rows
-#: grew ``solver_backend``, the backend label the verdict was computed
-#: under (``"cdcl"``, ``"portfolio:K[+cube:N]"``, ``"external:..."``
-#: — see :func:`repro.sat.backend.backend_label`).  Version 5: rows
-#: grew the incremental-reuse counters (``subtree_reuse_hits``,
-#: ``cnf_cache_hits``, ``commute_cache_hits`` — see
-#: :mod:`repro.service.incremental`); all three are zero on
-#: from-scratch runs, so incremental and scratch rows stay comparable
-#: field-for-field.  The version participates in the verdict cache key
+#: grew ``solver_backend``, the label of the SAT backend the verdict
+#: was computed under.  Version 5: rows grew the incremental-reuse
+#: counters (``subtree_reuse_hits``, ``cnf_cache_hits``,
+#: ``commute_cache_hits`` — see :mod:`repro.service.incremental`); all
+#: three are zero on from-scratch runs, so incremental and scratch
+#: rows stay comparable field-for-field.  Version 6: ``solver_backend``
+#: dropped — every verdict is computed by the one CDCL solver, so the
+#: field could only ever say ``"cdcl"``.  The version participates in the verdict cache key
 #: (:func:`repro.service.cache.cache_key`), so entries written under
 #: an older schema rotate out instead of deserializing incompletely.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: ``ManifestResult.status`` values.
 STATUS_OK = "ok"  # verified: deterministic and idempotent
@@ -69,11 +69,6 @@ class ManifestResult:
     #: severity ``counts``, ``diagnostics`` and ``stats``.  ``None``
     #: when linting itself crashed (never blocks the verification row).
     lint: Optional[dict] = None
-    #: The SAT backend the verdict was computed under (schema v4):
-    #: :func:`repro.sat.backend.backend_label` of the run's options —
-    #: lets mixed-backend result sets (and cached rows) say which solve
-    #: path produced them.
-    solver_backend: str = "cdcl"
     #: Incremental-store reuse counters (schema v5): how much of this
     #: verdict was rehydrated from the persistent store
     #: (:mod:`repro.service.incremental`).  Like the timing fields

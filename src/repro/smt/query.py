@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.logic.cnf import CNF, TseitinEncoder
 from repro.logic.terms import Term, TermBank
@@ -69,22 +69,16 @@ class Query:
     ``preprocessing`` — None (default) preprocesses only instances
     with at least :data:`PREPROCESS_MIN_CLAUSES` clauses; True/False
     force it on/off.
-
-    ``backend`` — a zero-argument factory producing the
-    :class:`repro.sat.backend.SolverBackend` each ``check`` solves on
-    (default: a fresh reference CDCL solver).
     """
 
     def __init__(
         self,
         bank: TermBank,
         preprocessing: Optional[bool] = None,
-        backend: Optional[Callable[[], "Solver"]] = None,
         subterm_cache=None,
     ):
         self.bank = bank
         self.preprocessing = preprocessing
-        self.backend = backend
         self._assertions: list[Term] = []
         #: Optional :class:`repro.logic.cnf.SubtermCache` — persisted
         #: and/or encodings rehydrate across runs (the incremental
@@ -134,7 +128,7 @@ class Query:
                     solve_seconds=time.perf_counter() - start,
                 )
             clauses = pre.clauses
-        solver = self.backend() if self.backend is not None else Solver()
+        solver = Solver()
         for clause in clauses:
             solver.add_clause(clause)
         result = solver.solve(max_conflicts=max_conflicts)
@@ -165,25 +159,18 @@ class IncrementalQuery:
     clause database at the first ``check`` has at least
     :data:`PREPROCESS_MIN_CLAUSES` clauses; True/False force it.  The
     cost is paid once and amortized over every later check.
-
-    ``backend`` — a zero-argument factory producing the
-    :class:`repro.sat.backend.SolverBackend` this query's lifetime of
-    checks runs on (default: the reference CDCL solver).  The backend
-    must be incremental: clauses and learned facts persist across
-    ``check`` calls.
     """
 
     def __init__(
         self,
         bank: TermBank,
         preprocessing: Optional[bool] = None,
-        backend: Optional[Callable[[], "Solver"]] = None,
     ):
         self.bank = bank
         self.preprocessing = preprocessing
         self.cnf = CNF()
         self._encoder = TseitinEncoder(self.cnf)
-        self._solver = backend() if backend is not None else Solver()
+        self._solver = Solver()
         self._pre: Optional[Preprocessed] = None
         self._checked = False
         self._flushed = 0  # cnf.clauses already handed to the solver
@@ -200,8 +187,8 @@ class IncrementalQuery:
         self.decisions = 0
 
     @property
-    def solver(self):
-        """The live :class:`repro.sat.backend.SolverBackend` instance."""
+    def solver(self) -> Solver:
+        """The live :class:`repro.sat.solver.Solver` instance."""
         return self._solver
 
     # -- building -----------------------------------------------------------

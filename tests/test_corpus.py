@@ -90,3 +90,32 @@ class TestWitnessQuality:
         out1 = eval_expr(seq(*[programs[n] for n in order1]), result.witness_fs)
         out2 = eval_expr(seq(*[programs[n] for n in order2]), result.witness_fs)
         assert out1 != out2
+
+
+class TestCorpusRowsPinned:
+    """Whole verdict rows — verdicts, race pairs, lint blocks and
+    exploration counters — for all 19 manifests, pinned by digest.  A
+    change that moves any of them must say so by updating the digest."""
+
+    ROWS_DIGEST = (
+        "1ec4729090e88d2d799d89267740915d75279c82efacf1fbfa66e72202a8766f"
+    )
+
+    def test_normalized_rows_match_pinned_digest(self):
+        import hashlib
+        import json
+
+        from repro.service import BatchVerifier, normalized_rows
+
+        names = sorted(BENCHMARK_NAMES + sorted(FIXED_VARIANTS))
+        report = BatchVerifier(cache=None).verify_sources(
+            [(name, load_source(name)) for name in names]
+        )
+        rows = normalized_rows(report.results)
+        assert len(rows) == 19
+        for row in rows:
+            # The key hashes the tool and schema versions, which
+            # rotate on purpose; everything else must stay put.
+            del row["cache_key"]
+        blob = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.ROWS_DIGEST

@@ -2,6 +2,9 @@
 
 import hashlib
 import random
+from dataclasses import dataclass
+from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,8 @@ from repro.sat import (
     count_models,
     solve_cnf,
 )
-from repro.sat.solver import UNDEF
+from repro.sat import solver as solver_mod
+from repro.sat.solver import RESTART_UNIT, UNDEF, VAR_DECAY
 
 
 class TestBasics:
@@ -203,32 +207,105 @@ def _random_3sat(rng: random.Random, num_vars: int, ratio: float = 4.26):
     return clauses
 
 
-def _run_trace(solver_cls, config, clauses, queries=((),), between=None):
+@dataclass(frozen=True)
+class _Knobs:
+    """Search settings the solver fixes as constants, varied here by
+    test-only means so the heap and the search loop also run under
+    other activity, phase and restart schedules."""
+
+    #: Initial-activity jitter seed; 0 leaves every activity at 0.0.
+    seed: int = 0
+    phase: bool = False
+    decay: float = VAR_DECAY
+    restart_unit: int = RESTART_UNIT
+    #: Geometric restarts with this growth factor; None keeps Luby.
+    growth: Optional[float] = None
+
+
+DEFAULT_KNOBS = _Knobs()
+
+#: Five diversified settings: geometric and Luby restarts of several
+#: units, both initial phases, three decays, all with jitter.
+DIVERSE_KNOBS = (
+    _Knobs(seed=1, phase=True, restart_unit=32, growth=1.3),
+    _Knobs(seed=2, decay=0.92),
+    _Knobs(seed=3, restart_unit=256, growth=2.0),
+    _Knobs(seed=4, phase=True, restart_unit=128),
+    _Knobs(seed=5, restart_unit=16, growth=1.1, decay=0.90),
+)
+
+_JITTER_MASK = (1 << 64) - 1
+
+
+def _activity_jitter(seed: int, var: int) -> float:
+    """A deterministic initial activity in [0, 1e-4) from (seed, var):
+    below any bump, so it only reorders ties between equal activities."""
+    x = (seed * 0x9E3779B97F4A7C15 + var * 0xBF58476D1CE4E5B9) & _JITTER_MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _JITTER_MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _JITTER_MASK
+    x ^= x >> 31
+    return (x / float(_JITTER_MASK + 1)) * 1e-4
+
+
+def _tuned(solver_cls, knobs: _Knobs):
+    """``solver_cls`` with ``knobs``' initial activities and phases."""
+
+    class Tuned(solver_cls):
+        def ensure_vars(self, n: int) -> None:
+            first = self.num_vars + 1
+            super().ensure_vars(n)
+            for var in range(first, self.num_vars + 1):
+                if knobs.seed:
+                    self._activity[var] = _activity_jitter(knobs.seed, var)
+                self._phase[var] = knobs.phase
+
+    return Tuned
+
+
+def _restart_schedule(knobs: _Knobs):
+    """Patch the solver's Luby schedule to ``knobs``' restarts.  The
+    search restarts after ``RESTART_UNIT * _luby(i)`` conflicts, so a
+    unit of 1 lets ``_luby`` return the whole geometric interval."""
+    if knobs.growth is None:
+        return mock.patch.object(solver_mod, "RESTART_UNIT", knobs.restart_unit)
+
+    def geometric(i: int) -> int:
+        interval = float(knobs.restart_unit)
+        for _ in range(i - 1):
+            interval *= knobs.growth
+        return int(interval)
+
+    return mock.patch.multiple(solver_mod, RESTART_UNIT=1, _luby=geometric)
+
+
+def _run_trace(solver_cls, knobs, clauses, queries=((),), between=None):
     """Every observable of a sequence of solve calls on one solver:
     verdicts, models, cores, work counters, and the clause database
     with learned clauses (whose literal order records every watch
     move propagation made).  ``between(solver)`` runs before every
     query but the first."""
-    solver = solver_cls(config=config)
+    solver = _tuned(solver_cls, knobs)()
+    solver._var_decay = knobs.decay
     for clause in clauses:
         solver.add_clause(clause)
     trace = []
-    for index, assumptions in enumerate(queries):
-        if index and between is not None:
-            between(solver)
-        result = solver.solve(assumptions=assumptions)
-        trace.append(
-            (
-                result.sat,
-                sorted(result.assignment.items()),
-                result.core,
-                result.conflicts,
-                result.decisions,
-                result.propagations,
-                result.restarts,
-                solver.clause_database(include_learned=True),
+    with _restart_schedule(knobs):
+        for index, assumptions in enumerate(queries):
+            if index and between is not None:
+                between(solver)
+            result = solver.solve(assumptions=assumptions)
+            trace.append(
+                (
+                    result.sat,
+                    sorted(result.assignment.items()),
+                    result.core,
+                    result.conflicts,
+                    result.decisions,
+                    result.propagations,
+                    result.restarts,
+                    solver.clause_database(include_learned=True),
+                )
             )
-        )
     return trace
 
 
@@ -250,8 +327,8 @@ class TestOrderHeapMatchesLinearScan:
     def test_random_3sat(self, seed):
         rng = random.Random(seed)
         clauses = _random_3sat(rng, rng.randint(30, 70))
-        expected = _run_trace(_LinearScanSolver, None, clauses)
-        assert _run_trace(Solver, None, clauses) == expected
+        expected = _run_trace(_LinearScanSolver, DEFAULT_KNOBS, clauses)
+        assert _run_trace(Solver, DEFAULT_KNOBS, clauses) == expected
         assert expected[0][4] > 0  # the search made decisions
 
     def test_assumption_and_core_queries(self):
@@ -261,14 +338,12 @@ class TestOrderHeapMatchesLinearScan:
             num_vars = rng.randint(30, 50)
             clauses = _random_3sat(rng, num_vars, ratio=3.8)
             queries = _assumption_queries(rng, num_vars, 8)
-            expected = _run_trace(_LinearScanSolver, None, clauses, queries)
-            assert _run_trace(Solver, None, clauses, queries) == expected
+            expected = _run_trace(_LinearScanSolver, DEFAULT_KNOBS, clauses, queries)
+            assert _run_trace(Solver, DEFAULT_KNOBS, clauses, queries) == expected
             cores += sum(1 for step in expected if not step[0] and step[2])
         assert cores > 0  # some queries fail with a nonempty core
 
     def test_activity_rescale_path(self, monkeypatch):
-        from repro.sat.backend import SolverConfig
-
         rescales = []
         original = Solver._rescale
 
@@ -277,36 +352,34 @@ class TestOrderHeapMatchesLinearScan:
             original(solver)
 
         monkeypatch.setattr(Solver, "_rescale", counting_rescale)
-        config = SolverConfig(decay=0.01)
+        # A steep decay drives activities past 1e100 within a search.
+        knobs = _Knobs(decay=0.01)
         for seed in range(4):
             rng = random.Random(200 + seed)
             num_vars = rng.randint(40, 60)
             clauses = _random_3sat(rng, num_vars)
             queries = [()] + _assumption_queries(rng, num_vars, 3)
-            expected = _run_trace(_LinearScanSolver, config, clauses, queries)
-            assert _run_trace(Solver, config, clauses, queries) == expected
+            expected = _run_trace(_LinearScanSolver, knobs, clauses, queries)
+            assert _run_trace(Solver, knobs, clauses, queries) == expected
         assert rescales
         # Inside a search, a rescale finds most variables assigned; one
         # between queries finds them all unassigned, each with an old
         # heap entry that the rescale has made stale.
         rescale = Solver._rescale
         expected = _run_trace(
-            _LinearScanSolver, config, clauses, queries, between=rescale
+            _LinearScanSolver, knobs, clauses, queries, between=rescale
         )
-        assert _run_trace(Solver, config, clauses, queries, between=rescale) == expected
+        assert _run_trace(Solver, knobs, clauses, queries, between=rescale) == expected
 
     @pytest.mark.parametrize("member", range(1, 6))
-    def test_jittered_portfolio_configs(self, member):
-        from repro.sat.backend import default_portfolio
-
-        config = default_portfolio(6)[member]
-        assert config.seed  # initial activities carry the jitter
+    def test_jittered_knobs(self, member):
+        knobs = DIVERSE_KNOBS[member - 1]
         rng = random.Random(300 + member)
         num_vars = rng.randint(40, 60)
         clauses = _random_3sat(rng, num_vars)
         queries = [()] + _assumption_queries(rng, num_vars, 3)
-        expected = _run_trace(_LinearScanSolver, config, clauses, queries)
-        assert _run_trace(Solver, config, clauses, queries) == expected
+        expected = _run_trace(_LinearScanSolver, knobs, clauses, queries)
+        assert _run_trace(Solver, knobs, clauses, queries) == expected
 
 
 class TestOrderHeapBound:
@@ -315,12 +388,11 @@ class TestOrderHeapBound:
         backtrack and leaves the old one stale; without the rebuild
         the heap grows with the conflict count (to ~150 entries per
         variable on this instance)."""
-        from repro.sat.backend import SolverConfig
-
-        solver = Solver(config=SolverConfig(restart_unit=1))
+        solver = Solver()
         for clause in _pigeonhole(7, 6):
             solver.add_clause(clause)
-        result = solver.solve()
+        with mock.patch.object(solver_mod, "RESTART_UNIT", 1):
+            result = solver.solve()
         assert not result.sat
         assert result.restarts > 100
         assert len(solver._order) <= 2 * solver.num_vars
@@ -332,16 +404,14 @@ class TestTracePinned:
         land in verdict rows and the model picks the witness.  The
         digest was taken with the linear-scan solver; a change to
         propagation, analysis or branching order moves it."""
-        from repro.sat.backend import default_portfolio
-
         digest = hashlib.sha256()
-        for config in (None, default_portfolio(2)[1]):
+        for knobs in (DEFAULT_KNOBS, DIVERSE_KNOBS[0]):
             for seed in range(6):
                 rng = random.Random(400 + seed)
                 num_vars = rng.randint(40, 70)
                 clauses = _random_3sat(rng, num_vars)
                 queries = [()] + _assumption_queries(rng, num_vars, 3)
-                trace = _run_trace(Solver, config, clauses, queries)
+                trace = _run_trace(Solver, knobs, clauses, queries)
                 digest.update(repr(trace).encode())
         assert digest.hexdigest() == (
             "df558ef6223c5799fdd94b1d96b5c208c0b9fcc37f66c223e7740ff4f16d7bef"

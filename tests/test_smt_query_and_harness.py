@@ -4,7 +4,7 @@ the explanation renderer."""
 import pytest
 
 from repro.logic import TermBank
-from repro.smt.query import Query, check_sat
+from repro.smt.query import IncrementalQuery, Query, check_sat
 
 
 class TestQueryLayer:
@@ -48,6 +48,13 @@ class TestQueryLayer:
         assert result.num_vars >= 6
         assert result.num_clauses > 0
         assert result.solve_seconds >= 0
+
+    def test_use_preprocessing_keyword_rejected(self):
+        bank = TermBank()
+        with pytest.raises(TypeError):
+            Query(bank, use_preprocessing=False)
+        with pytest.raises(TypeError):
+            IncrementalQuery(bank, use_preprocessing=True)
 
 
 class TestHarness:
