@@ -18,18 +18,15 @@ Public API tour:
 * :mod:`repro.service` — batch verification: :class:`BatchVerifier` /
   :func:`verify_batch` fan a fleet of manifests out to worker
   processes behind a content-addressed :class:`VerdictCache`.
-* :mod:`repro.testing` — differential fuzzing and the test
-  orchestration layer (dependency-aware selection, SPRT burn-in,
-  results database — see docs/testing.md).
+* :mod:`repro.testing` — differential fuzzing and the SPRT burn-in
+  that promotes fuzz reproducers into the regression corpus (see
+  docs/fuzzing.md and docs/testing.md).
 
 The package init is **lazy** (PEP 562): importing ``repro`` binds only
 ``__version__``; every re-exported name resolves on first attribute
 access via the ``_LAZY_EXPORTS`` table below.  This keeps ``import
-repro.testing.orchestrate.testmap`` from dragging in the whole solver
-stack, and — because the table is a static dict literal — lets the
-test-selection import scanner (:mod:`repro.testing.orchestrate.testmap`)
-resolve ``from repro import Rehearsal`` to its true defining module
-instead of marking every module as a dependency of everything.
+repro`` (and every light submodule under it, such as
+:mod:`repro.testing.sprt`) from dragging in the whole solver stack.
 """
 
 from importlib import import_module
@@ -45,9 +42,8 @@ from importlib import import_module
 # and rows drop ``solver_backend``.
 __version__ = "1.7.0"
 
-#: name -> defining module.  A static literal on purpose: the import
-#: scanner behind `rehearsal testmap` parses this table to resolve
-#: ``from repro import X`` precisely (see docs/testing.md).
+#: name -> defining module; ``__getattr__`` imports the target on
+#: first access.
 _LAZY_EXPORTS = {
     "AnalysisBudgetExceeded": "repro.errors",
     "BatchReport": "repro.service",

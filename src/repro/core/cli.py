@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Two commands behind one ``rehearsal`` entry point (see setup.py
+Every command runs behind one ``rehearsal`` entry point (see setup.py
 ``console_scripts``):
 
 * ``rehearsal verify <manifest.pp> [flags]`` — single-manifest
@@ -21,10 +21,6 @@ Two commands behind one ``rehearsal`` entry point (see setup.py
   manage both on-disk caches: the verdict cache and the incremental
   store (:mod:`repro.service.incremental`); ``gc --max-bytes N``
   evicts oldest-first until each fits the budget.
-* ``rehearsal cache-clear [--cache-dir DIR]`` — empty the verdict
-  cache (entries keyed under old tool versions are unreachable and
-  only ever reclaimed here); kept for compatibility, ``rehearsal
-  cache clear`` also sweeps the incremental store.
 * ``rehearsal solve <file.cnf>`` — run the SAT substrate (CNF
   preprocessing + CDCL) on a DIMACS instance, the standard way to
   debug the solving pipeline offline; ``--dump`` round-trips the
@@ -38,15 +34,9 @@ Two commands behind one ``rehearsal`` entry point (see setup.py
   catalog-level static analyzer (:mod:`repro.analysis.lint`): rule
   diagnostics with source spans, no SAT.  Exit 0 — clean (at most
   notes), 1 — warnings, 2 — errors, 3 — bad invocation.
-* ``rehearsal testmap build|select|check`` — dependency-aware test
-  selection over the static import graph
-  (:mod:`repro.testing.orchestrate.testmap`).
-* ``rehearsal burnin`` — SPRT burn-in promoting quarantined fuzz
-  reproducers into the pinned regression corpus
-  (:mod:`repro.testing.orchestrate.burnin`).
-* ``rehearsal testreport --db <results.sqlite>`` — HTML/SVG report
-  from the per-test results database
-  (:mod:`repro.testing.orchestrate.report`).
+* ``rehearsal burnin [--quarantine DIR --pinned DIR]`` — SPRT
+  burn-in promoting quarantined fuzz reproducers into the pinned
+  regression corpus (:mod:`repro.testing.burnin`).
 
 Exit codes of the verify commands: 0 — verified (for the batch: every
 manifest produced a verdict, and with ``--strict`` every verdict is
@@ -60,7 +50,6 @@ into a missing one).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path as OsPath
 
@@ -525,28 +514,6 @@ def run_serve(argv) -> int:
     return run_daemon(config)
 
 
-# -- rehearsal cache-clear ----------------------------------------------------
-
-
-def run_cache_clear(argv) -> int:
-    from repro.service import VerdictCache
-
-    parser = argparse.ArgumentParser(
-        prog="rehearsal cache-clear",
-        description="Delete every entry from the verdict cache.",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="verdict cache directory (default: $XDG_CACHE_HOME/rehearsal)",
-    )
-    args = parser.parse_args(argv)
-    cache = VerdictCache(args.cache_dir)
-    removed = cache.clear()
-    print(f"removed {removed} cached verdict(s) from {cache.directory}")
-    return 0
-
-
 # -- rehearsal cache ----------------------------------------------------------
 
 
@@ -593,20 +560,26 @@ def run_cache(argv) -> int:
     from repro.service.incremental import IncrementalStore, default_store_path
 
     args = build_cache_parser().parse_args(argv)
+    if args.action == "gc" and args.max_bytes < 0:
+        print("error: --max-bytes must be >= 0", file=sys.stderr)
+        return 2
     cache = VerdictCache(args.cache_dir)
-    store = IncrementalStore(default_store_path(args.cache_dir))
+    # A store that does not exist yet is empty; opening it would
+    # create it, so inspecting or trimming the caches never does.
+    store_path = default_store_path(args.cache_dir)
+    store = IncrementalStore(store_path) if store_path.exists() else None
 
     if args.action == "stats":
         vstats = cache.stats()
-        istats = store.stats()
         print(f"cache directory: {vstats['directory']}")
         print(
             f"verdict cache: {vstats['entries']} entrie(s), "
             f"{vstats['bytes']} bytes"
         )
-        if store.disabled:
+        if store is not None and store.disabled:
             print("incremental store: unavailable")
         else:
+            istats = store.stats() if store is not None else {}
             print(
                 f"incremental store: {istats.get('entries', 0)} row(s), "
                 f"{istats.get('bytes', 0)} bytes on disk"
@@ -622,7 +595,7 @@ def run_cache(argv) -> int:
 
     if args.action == "clear":
         removed = cache.clear()
-        rows = store.clear()
+        rows = store.clear() if store is not None else 0
         print(
             f"removed {removed} cached verdict(s) and {rows} "
             f"incremental row(s) from {cache.directory}"
@@ -630,11 +603,8 @@ def run_cache(argv) -> int:
         return 0
 
     if args.action == "gc":
-        if args.max_bytes < 0:
-            print("error: --max-bytes must be >= 0", file=sys.stderr)
-            return 2
         removed = cache.gc(args.max_bytes)
-        rows = store.gc(args.max_bytes)
+        rows = store.gc(args.max_bytes) if store is not None else 0
         print(
             f"evicted {removed} cached verdict(s) and {rows} "
             f"incremental row(s) to fit {args.max_bytes} bytes"
@@ -1218,140 +1188,6 @@ def run_lint(argv) -> int:
     return max(r.exit_code for r in reports)
 
 
-# -- rehearsal testmap --------------------------------------------------------
-
-
-def build_testmap_parser() -> argparse.ArgumentParser:
-    from repro.testing.orchestrate.testmap import DEFAULT_MAP_PATH
-
-    parser = argparse.ArgumentParser(
-        prog="rehearsal testmap",
-        description=(
-            "Dependency-aware test selection: build a content-hashed "
-            "module-to-test map from the static import graph, turn a "
-            "changed-file list into the minimal pytest file list "
-            "(falling back to the full suite whenever precision "
-            "cannot be guaranteed), or check the committed map for "
-            "drift."
-        ),
-        epilog=(
-            "Exit codes: 0 — done (select always succeeds: a "
-            "fallback IS a valid selection); 1 — check found drift; "
-            "2 — bad invocation."
-        ),
-    )
-    parser.add_argument(
-        "--root",
-        default=".",
-        help="repository root to scan (default: current directory)",
-    )
-    parser.add_argument(
-        "--map",
-        default=DEFAULT_MAP_PATH,
-        help=f"map file, relative to --root (default: {DEFAULT_MAP_PATH})",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("build", help="scan the repo and (re)write the map")
-    select = sub.add_parser(
-        "select",
-        help="map changed paths to the minimal test subset",
-    )
-    select.add_argument(
-        "--changed",
-        nargs="+",
-        required=True,
-        metavar="PATH",
-        help="changed paths (repo-relative or absolute)",
-    )
-    select.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the full selection record as JSON instead of the "
-        "line-oriented test list",
-    )
-    sub.add_parser(
-        "check",
-        help="rebuild from the working tree and fail on any drift "
-        "from the committed map",
-    )
-    return parser
-
-
-def run_testmap(argv) -> int:
-    import json as json_mod
-
-    from repro.testing.orchestrate import testmap as tm
-
-    args = build_testmap_parser().parse_args(argv)
-    root = OsPath(args.root)
-    map_path = root / args.map
-
-    if args.command == "build":
-        built = tm.build_map(root)
-        map_path.parent.mkdir(parents=True, exist_ok=True)
-        built.save(map_path)
-        print(
-            f"wrote {map_path}: {len(built.modules)} modules, "
-            f"{len(built.tests)} test files, "
-            f"{len(built.global_modules)} conftest dependencies"
-        )
-        return 0
-
-    if args.command == "check":
-        if not map_path.is_file():
-            print(f"error: no map at {map_path}", file=sys.stderr)
-            return 1
-        committed = tm.TestMap.load(map_path)
-        problems = tm.check_drift(committed, tm.build_map(root))
-        if problems:
-            print(
-                f"{map_path} has drifted from the working tree:",
-                file=sys.stderr,
-            )
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            print(
-                "rebuild with 'rehearsal testmap build'",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"{map_path} is up to date")
-        return 0
-
-    # select
-    if not map_path.is_file():
-        print(f"error: no map at {map_path}", file=sys.stderr)
-        return 2
-    try:
-        test_map = tm.TestMap.load(map_path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    selection = tm.select(
-        test_map, root, args.changed, map_path=args.map
-    )
-    if args.json:
-        print(json_mod.dumps(selection.to_dict(), indent=2))
-        return 0
-    fraction = selection.selected_fraction
-    print(
-        f"# mode: {selection.mode} "
-        f"({len(selection.tests) if selection.mode == 'subset' else selection.total_tests}"
-        f"/{selection.total_tests} test files, {fraction:.1%})"
-    )
-    try:
-        for reason in selection.reasons:
-            print(f"# reason: {reason}")
-        for test in selection.tests:
-            print(test)
-    except BrokenPipeError:
-        # The consumer (head, xargs) closed the pipe early; the
-        # selection itself succeeded.  Point stdout at devnull so the
-        # interpreter's exit-time flush doesn't raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
-
-
 # -- rehearsal burnin ---------------------------------------------------------
 
 
@@ -1384,34 +1220,6 @@ def build_burnin_parser() -> argparse.ArgumentParser:
         "(default: tests/regressions)",
     )
     parser.add_argument(
-        "--base-seed",
-        type=int,
-        default=0,
-        help="oracle seed of trial 0; trial i uses base+i "
-        "(default: 0)",
-    )
-    parser.add_argument(
-        "--max-trials",
-        type=int,
-        default=None,
-        help="cap on trials per file before 'undecided' "
-        "(default: 40)",
-    )
-    parser.add_argument(
-        "--p-stable",
-        type=float,
-        default=None,
-        help="pass probability under the 'stable' hypothesis "
-        "(default: 0.99)",
-    )
-    parser.add_argument(
-        "--p-flaky",
-        type=float,
-        default=None,
-        help="pass probability under the 'flaky' hypothesis "
-        "(default: 0.70)",
-    )
-    parser.add_argument(
         "--dry-run",
         action="store_true",
         help="decide but move nothing and write no ledger",
@@ -1426,8 +1234,7 @@ def build_burnin_parser() -> argparse.ArgumentParser:
 
 
 def run_burnin(argv) -> int:
-    from repro.testing.orchestrate.burnin import burn_in
-    from repro.testing.orchestrate.sprt import SprtConfig
+    from repro.testing.burnin import burn_in
 
     args = build_burnin_parser().parse_args(argv)
     quarantine = OsPath(args.quarantine)
@@ -1437,26 +1244,10 @@ def run_burnin(argv) -> int:
             file=sys.stderr,
         )
         return 2
-    overrides = {
-        key: value
-        for key, value in (
-            ("max_trials", args.max_trials),
-            ("p_stable", args.p_stable),
-            ("p_flaky", args.p_flaky),
-        )
-        if value is not None
-    }
-    try:
-        config = SprtConfig(**overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     report = burn_in(
         quarantine,
         OsPath(args.pinned),
-        config=config,
         apply=not args.dry_run,
-        base_seed=args.base_seed,
         progress=lambda message: print(f"  {message}"),
     )
     if args.json is not None:
@@ -1482,65 +1273,6 @@ def run_burnin(argv) -> int:
     return 0 if not (demoted or undecided or invalid) else 1
 
 
-# -- rehearsal testreport -----------------------------------------------------
-
-
-def build_testreport_parser() -> argparse.ArgumentParser:
-    from repro.testing.orchestrate.testmap import DEFAULT_MAP_PATH
-
-    parser = argparse.ArgumentParser(
-        prog="rehearsal testreport",
-        description=(
-            "Render the per-test results database (written by the "
-            "REHEARSAL_RESULTS_DB pytest hook) as an HTML report "
-            "with per-module duration trends, plus an SVG DAG of "
-            "the module-to-test import graph from the committed "
-            "test map."
-        ),
-    )
-    parser.add_argument(
-        "--db",
-        required=True,
-        help="results database (created empty if missing)",
-    )
-    parser.add_argument(
-        "--out",
-        default="test-report",
-        help="output directory (default: test-report)",
-    )
-    parser.add_argument(
-        "--map",
-        default=DEFAULT_MAP_PATH,
-        help="test map for the DAG; skipped if the file is absent "
-        f"(default: {DEFAULT_MAP_PATH})",
-    )
-    parser.add_argument(
-        "--trend-runs",
-        type=int,
-        default=20,
-        help="runs to include in the duration trends (default: 20)",
-    )
-    return parser
-
-
-def run_testreport(argv) -> int:
-    from repro.testing.orchestrate.report import write_report
-
-    args = build_testreport_parser().parse_args(argv)
-    if args.trend_runs < 1:
-        print("error: --trend-runs must be >= 1", file=sys.stderr)
-        return 2
-    written = write_report(
-        OsPath(args.db),
-        OsPath(args.out),
-        map_path=args.map,
-        trend_runs=args.trend_runs,
-    )
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
 # -- dispatch -----------------------------------------------------------------
 
 
@@ -1550,8 +1282,6 @@ def main(argv=None) -> int:
         return run_verify_batch(argv[1:])
     if argv and argv[0] == "serve":
         return run_serve(argv[1:])
-    if argv and argv[0] == "cache-clear":
-        return run_cache_clear(argv[1:])
     if argv and argv[0] == "cache":
         return run_cache(argv[1:])
     if argv and argv[0] == "solve":
@@ -1560,12 +1290,8 @@ def main(argv=None) -> int:
         return run_fuzz(argv[1:])
     if argv and argv[0] == "lint":
         return run_lint(argv[1:])
-    if argv and argv[0] == "testmap":
-        return run_testmap(argv[1:])
     if argv and argv[0] == "burnin":
         return run_burnin(argv[1:])
-    if argv and argv[0] == "testreport":
-        return run_testreport(argv[1:])
     if argv and argv[0] == "verify":
         argv = argv[1:]
     return run_verify(argv)

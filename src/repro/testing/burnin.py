@@ -5,7 +5,7 @@ straight into ``tests/regressions/`` would let a flaky finding poison
 tier-1.  Instead they land in ``tests/regressions/quarantine/`` and
 ``rehearsal burnin`` replays each one repeatedly through the
 differential pipeline (:mod:`repro.testing.replay`) under a sequential
-probability ratio test (:mod:`repro.testing.orchestrate.sprt`):
+probability ratio test (:mod:`repro.testing.sprt`):
 
 * **promoted** — the SPRT accepts stability: the file moves into the
   pinned directory and a machine-readable promotion record is
@@ -18,8 +18,11 @@ probability ratio test (:mod:`repro.testing.orchestrate.sprt`):
   rate;
 * **undecided** — the trial cap ran out: the file stays quarantined.
 
-Every trial uses a distinct oracle seed, so a reproducer that only
-reproduces from one lucky initial-state sample gets caught.
+Trial ``i`` replays with oracle seed ``i``, so a reproducer that only
+reproduces from one lucky initial-state sample gets caught.  The
+``rehearsal burnin`` command always runs the default
+:class:`~repro.testing.sprt.SprtConfig`; every committed ledger record
+was minted with it.
 """
 
 from __future__ import annotations
@@ -32,11 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional
 
-from repro.testing.orchestrate.sprt import (
-    Decision,
-    SprtConfig,
-    SprtTest,
-)
+from repro.testing.sprt import Decision, SprtConfig, run_sprt
 
 LEDGER_NAME = "promotions.json"
 LEDGER_SCHEMA = 1
@@ -167,7 +166,6 @@ def burn_in(
     config: Optional[SprtConfig] = None,
     executor: Optional[Executor] = None,
     apply: bool = True,
-    base_seed: int = 0,
     progress=None,
 ) -> BurninReport:
     """Burn in every ``*.pp`` under ``quarantine_dir``; see module
@@ -206,13 +204,7 @@ def burn_in(
             progress(f"{path.name}: invalid header, skipped")
             continue
 
-        test = SprtTest(config=config)
-        seeds: List[int] = []
-        while not test.done:
-            trial_seed = base_seed + test.trials
-            seeds.append(trial_seed)
-            passed = executor(path, trial_seed)
-            test.update(passed)
+        test = run_sprt(lambda index: executor(path, index), config)
         record = BurninRecord(
             file=path.name,
             sha256=file_sha256(path),
@@ -221,7 +213,7 @@ def burn_in(
             failures=test.failures,
             flake_rate=test.flake_rate,
             llr=test.llr,
-            trial_seeds=seeds,
+            trial_seeds=list(range(test.trials)),
             sprt=_sprt_dict(config),
             recorded_at=_now(),
         )

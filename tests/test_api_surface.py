@@ -38,8 +38,8 @@ class TestStableSurface:
             assert getattr(repro, name) is not None, name
 
     def test_lazy_targets_define_their_names(self):
-        """Each export must live in the module the table claims — the
-        contract the testmap import scanner relies on."""
+        """Each export must live in the module the table claims, so
+        lazy resolution binds the name from its defining module."""
         import importlib
 
         for name, target in repro._LAZY_EXPORTS.items():

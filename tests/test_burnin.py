@@ -6,13 +6,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.cli import main as cli_main
-from repro.testing.orchestrate.burnin import (
+from repro.testing.burnin import (
     LEDGER_NAME,
     burn_in,
     file_sha256,
     load_ledger,
 )
-from repro.testing.orchestrate.sprt import SprtConfig
+from repro.testing.sprt import SprtConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS = REPO_ROOT / "tests" / "regressions"
@@ -69,10 +69,9 @@ class TestPromotion:
             pinned,
             config=FAST,
             executor=lambda path, seed: seen.append(seed) or True,
-            base_seed=100,
         )
         per_file = len(seen) // 2
-        assert seen[:per_file] == list(range(100, 100 + per_file))
+        assert seen == list(range(per_file)) * 2
 
     def test_name_collision_blocks_promotion(self, corpus_copy):
         quarantine, pinned = corpus_copy
@@ -177,7 +176,7 @@ class TestCli:
         (quarantine / source.name).write_text(
             source.read_text(encoding="utf8"), encoding="utf8"
         )
-        # p_flaky=0.3 needs only 3 real replays to promote.
+        # The default SPRT promotes after 9 passing replays.
         code = cli_main(
             [
                 "burnin",
@@ -185,8 +184,6 @@ class TestCli:
                 str(quarantine),
                 "--pinned",
                 str(pinned),
-                "--p-flaky",
-                "0.3",
                 "--json",
                 str(tmp_path / "report.json"),
             ]
@@ -194,25 +191,13 @@ class TestCli:
         assert code == 0
         assert (pinned / source.name).exists()
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["records"][0]["decision"] == "promoted"
+        record = payload["records"][0]
+        assert record["decision"] == "promoted"
+        assert record["trial_seeds"] == list(range(9))
         assert "1 promoted" in capsys.readouterr().out
 
     def test_missing_quarantine_is_a_usage_error(self, tmp_path):
         code = cli_main(
             ["burnin", "--quarantine", str(tmp_path / "nope")]
-        )
-        assert code == 2
-
-    def test_bad_sprt_parameters_are_a_usage_error(self, tmp_path):
-        quarantine = tmp_path / "q"
-        quarantine.mkdir()
-        code = cli_main(
-            [
-                "burnin",
-                "--quarantine",
-                str(quarantine),
-                "--p-flaky",
-                "0.999",
-            ]
         )
         assert code == 2

@@ -214,8 +214,11 @@ class TestDispatch:
         manifests, cache_dir = fleet
         batch(manifests, "--cache-dir", cache_dir)
         capsys.readouterr()
-        assert cli_main(["cache-clear", "--cache-dir", str(cache_dir)]) == 0
-        assert "removed 2 cached verdict(s)" in capsys.readouterr().out
+        assert cli_main(["cache", "--cache-dir", str(cache_dir), "clear"]) == 0
+        assert (
+            "removed 2 cached verdict(s) and 0 incremental row(s)"
+            in capsys.readouterr().out
+        )
         code = batch(manifests, "--cache-dir", cache_dir)
         assert "cache 0 hit(s) / 2 miss(es)" in capsys.readouterr().out
         assert code == 0

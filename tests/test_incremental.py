@@ -514,6 +514,24 @@ class TestCacheCli:
             == 2
         )
 
+    def test_rejected_gc_and_fresh_stats_create_no_store(
+        self, tmp_path, capsys
+    ):
+        cache_dir = tmp_path / "D"
+        assert (
+            self.run_cli(
+                "cache", "--cache-dir", str(cache_dir), "gc",
+                "--max-bytes", "-1",
+            )
+            == 2
+        )
+        assert not cache_dir.exists()
+        assert self.run_cli("cache", "--cache-dir", str(cache_dir), "stats") == 0
+        assert "incremental store: 0 row(s), 0 bytes on disk" in (
+            capsys.readouterr().out
+        )
+        assert not (cache_dir / "incremental.sqlite").exists()
+
 
 # -- cache-key discipline -----------------------------------------------------
 

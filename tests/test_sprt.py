@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.testing.orchestrate.sprt import (
+from repro.testing.sprt import (
     Decision,
     SprtConfig,
     SprtTest,

@@ -37,7 +37,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.puppet.parser import parse_manifest  # noqa: E402
 from repro.testing.generate import GENERATOR_VERSION  # noqa: E402
-from repro.testing.orchestrate.burnin import (  # noqa: E402
+from repro.testing.burnin import (  # noqa: E402
     LEDGER_NAME,
     file_sha256,
     load_ledger,
