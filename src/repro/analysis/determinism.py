@@ -99,10 +99,11 @@ class DeterminismOptions:
     max_branches: int = 5000
     timeout_seconds: Optional[float] = None
     max_conflicts: Optional[int] = None
-    #: Persist intermediate results (CNF blocks, commutativity
-    #: verdicts, idempotence, exploration subtrees) across processes in
-    #: the :mod:`repro.service.incremental` store, so re-verifying an
-    #: edited catalog reuses everything the edit did not invalidate.
+    #: Check idempotence through the commuting decomposition (Lemma 4)
+    #: with its per-pair commutativity and per-resource idempotence
+    #: verdicts persisted across processes in the
+    #: :mod:`repro.service.incremental` store, so re-verifying an
+    #: edited catalog re-checks only the resources the edit touched.
     #: Verdicts are byte-identical with the store hot, cold, or
     #: deleted mid-run; this flag is therefore *excluded* from the
     #: verdict-cache key.  Defaults from ``REHEARSAL_INCREMENTAL``.
@@ -161,16 +162,13 @@ class DeterminismStats:
     #: encoding, zero SAT queries.
     prefilter_proved: bool = False
     #: Incremental-store reuse (0 unless ``options.incremental``):
-    #: recorded results served — whole-run root hits, grafted
-    #: exploration subtrees, and cached per-resource idempotence
-    #: verdicts.  Like the timing fields, these describe the *run*, not
-    #: the manifest: incremental and from-scratch rows agree on
-    #: everything else.
+    #: per-resource idempotence verdicts served from the ``idem`` memo.
+    #: Like the timing fields, these describe the *run*, not the
+    #: manifest: incremental and from-scratch rows agree on everything
+    #: else.
     subtree_reuse_hits: int = 0
-    #: Subformula encodings rehydrated from the persistent CNF cache.
-    cnf_cache_hits: int = 0
-    #: Resource-pair commutativity verdicts served from the store
-    #: instead of recomputed from footprints.
+    #: Resource-pair commutativity verdicts served from the ``commute``
+    #: memo instead of recomputed from footprints.
     commute_cache_hits: int = 0
 
 
@@ -343,218 +341,15 @@ class _Explorer:
             )
 
 
-class _IncrementalExplorer(_Explorer):
-    """An :class:`_Explorer` that reads and writes the persistent
-    exploration store (:mod:`repro.service.incremental`).
-
-    Differences from the base walk, all invisible to the verdict:
-
-    - the commutativity matrix is served per-pair from the store
-      (identical booleans — :func:`footprints_commute` is pure);
-    - on the *first* arrival at an interior ``(remaining, state)``
-      node, the store is consulted; a hit **grafts** the recorded
-      subtree — its final-state digests and effort counters are taken
-      on faith and the subtree is not walked.  Grafted finals have no
-      term-level states, so the caller may conclude *deterministic*
-      only when every final digest (explored and grafted) coincides;
-      any other outcome discards the grafted run and re-runs from
-      scratch (see ``check_determinism``).  Grafted effort counters
-      are kept out of :attr:`branches` so the budget check behaves
-      like the explored walk;
-    - every arrival DAG edge is recorded so a clean, graft-free walk
-      can spill each subtree's standalone result for future runs.
-    """
-
-    def __init__(self, graph, programs, bank, options, deadline, inc):
-        super().__init__(graph, programs, bank, options, deadline)
-        self.inc = inc
-        from repro.service.incremental import state_digest
-
-        self._state_digest_fn = state_digest
-        matrix, self.commute_hits = inc.commutativity(self.prints)
-        self.commutes = matrix
-        self.grafted = False
-        self.subtree_hits = 0
-        self.graft_final_digests: set = set()
-        self.graft_branches = 0
-        self.graft_memo = 0
-        self.graft_merged = 0
-        #: walk key -> dense index; per-index persistent digests.
-        self._index: Dict[tuple, int] = {}
-        self._subtree_digest: Dict[int, str] = {}
-        self._state_digest: Dict[int, str] = {}
-        self._is_final: Dict[int, bool] = {}
-        self._edges: List[Tuple[int, int]] = []
-
-    def _arrive(self, remaining: frozenset, state) -> int:
-        """Index a first arrival, computing its persistent digests."""
-        key = (remaining, state.fingerprint())
-        idx = len(self._index)
-        self._index[key] = idx
-        sd = self._state_digest_fn(self.bank, state)
-        self._state_digest[idx] = sd
-        self._subtree_digest[idx] = self.inc.subtree_key(remaining, sd)
-        self._is_final[idx] = not remaining
-        return idx
-
-    def run(self, init):
-        arrivals: Dict[tuple, int] = {}
-        remaining = frozenset(self.graph.nodes)
-        root_idx = self._arrive(remaining, init)
-        stack: List[Tuple[frozenset, SymbolicState, tuple, int]] = [
-            (remaining, init, (), root_idx)
-        ]
-        tick = time.perf_counter()
-        while stack:
-            remaining, state, order, idx = stack.pop()
-            if not remaining:
-                self.finals.append((state, list(order)))
-                continue
-            self._check_budget()
-            chosen = self.frontier(remaining)
-            pending = []
-            for n in chosen:
-                self.branches += 1
-                next_state = apply_expr(
-                    self.bank, state, self.programs[n]
-                )
-                next_remaining = remaining - {n}
-                key = (next_remaining, next_state.fingerprint())
-                count = arrivals.get(key, 0)
-                arrivals[key] = count + 1
-                if count:
-                    self.memo_hits += 1
-                    if count == 1:
-                        self.states_merged += 1
-                    self._edges.append((idx, self._index[key]))
-                    continue
-                child_idx = self._arrive(next_remaining, next_state)
-                self._edges.append((idx, child_idx))
-                if next_remaining:
-                    entry = self.inc.lookup_subtree(
-                        self._subtree_digest[child_idx]
-                    )
-                    if entry is not None:
-                        self.grafted = True
-                        self.subtree_hits += 1
-                        self.graft_final_digests.update(entry["finals"])
-                        self.graft_branches += entry["branches"]
-                        self.graft_memo += entry["memo"]
-                        self.graft_merged += entry["merged"]
-                        continue
-                pending.append(
-                    (next_remaining, next_state, order + (n,), child_idx)
-                )
-            # Reversed push keeps pop order equal to the base walk's.
-            stack.extend(reversed(pending))
-        self.explore_seconds += time.perf_counter() - tick
-
-    def combined_final_digests(self) -> set:
-        """Digests of every final — explored and grafted.  Hash-consing
-        makes the digest injective within one bank, so size 1 here
-        means every interleaving reaches the same symbolic state."""
-        out = set(self.graft_final_digests)
-        for idx, final in self._is_final.items():
-            if final:
-                out.add(self._state_digest[idx])
-        return out
-
-    def spill(self) -> None:
-        """After a clean, graft-free, complete walk: persist each
-        interior node's standalone subtree summary.  For a sub-DAG
-        with V nodes and E (simple) edges, a standalone exploration
-        from its root reports exactly E branches, E − (V − 1) memo
-        hits, and one merged state per node with local in-degree ≥ 2 —
-        arrivals and edges are in bijection."""
-        if self.grafted:
-            return
-        count = len(self._index)
-        if count == 0 or count > self.inc.SPILL_MAX_NODES:
-            return
-        children: List[List[int]] = [[] for _ in range(count)]
-        outdeg = [0] * count
-        for p, c in self._edges:
-            children[p].append(c)
-            outdeg[p] += 1
-        # Reachability masks, children before parents (a child's index
-        # can exceed its parent's only via memo edges, so iterate until
-        # stable — the DAG is shallow: remaining strictly shrinks, so
-        # |remaining| is a level function and one pass in decreasing
-        # level order suffices.
-        level = {
-            idx: len(key[0]) for key, idx in self._index.items()
-        }
-        reach = [0] * count
-        for idx in sorted(range(count), key=lambda i: level[i]):
-            mask = 1 << idx
-            for c in children[idx]:
-                mask |= reach[c]
-            reach[idx] = mask
-        # Digest collisions (distinct walk nodes, same persistent key)
-        # would make an entry ambiguous; skip those.
-        seen_digest: Dict[str, int] = {}
-        ambiguous: set = set()
-        for idx, dig in self._subtree_digest.items():
-            if dig in seen_digest:
-                ambiguous.add(dig)
-            seen_digest[dig] = idx
-        items: List[Tuple[str, dict]] = []
-        for idx in range(count):
-            if self._is_final[idx]:
-                continue
-            dig = self._subtree_digest[idx]
-            if dig in ambiguous:
-                continue
-            mask = reach[idx]
-            nodes = mask.bit_count()
-            edges = 0
-            indeg: Dict[int, int] = {}
-            for p, c in self._edges:
-                if (mask >> p) & 1:
-                    edges += 1
-                    indeg[c] = indeg.get(c, 0) + 1
-            finals = sorted(
-                self._state_digest[i]
-                for i in range(count)
-                if (mask >> i) & 1 and self._is_final[i]
-            )
-            if not finals:
-                continue  # should not happen; never record an
-                # entry a graft could not conclude from
-            items.append(
-                (
-                    dig,
-                    {
-                        "finals": finals,
-                        "branches": edges,
-                        "memo": edges - (nodes - 1),
-                        "merged": sum(
-                            1 for v in indeg.values() if v >= 2
-                        ),
-                    },
-                )
-            )
-        if items:
-            self.inc.spill_subtrees(items)
-
-
 def check_determinism(
     graph: "nx.DiGraph",
     programs: Dict[NodeId, fx.Expr],
     options: Optional[DeterminismOptions] = None,
-    incremental_store=None,
 ) -> DeterminismResult:
     """Decide determinism of a resource graph (Theorem 1).
 
     ``graph`` edges point prerequisite → dependent; ``programs`` maps
     node ids to compiled FS programs.
-
-    ``incremental_store`` — an already-open
-    :class:`repro.service.incremental.IncrementalStore` handle to
-    reuse on the incremental path, instead of resolving one per call:
-    the pipeline opens a single handle per verify, and the daemon
-    keeps one open for the life of the process so the store's SQLite
-    page cache stays hot across requests.
     """
     options = options or DeterminismOptions()
     stats = DeterminismStats(resources_total=graph.number_of_nodes())
@@ -631,41 +426,7 @@ def check_determinism(
     stats.modeled_paths = len(domains)
     init = initial_state(bank, domains)
 
-    # Cross-run persistence: only on the memoized path (the graft
-    # bookkeeping assumes the reachable-state DAG) and only for string
-    # node ids (recorded orders and races round-trip through JSON).
-    inc = None
-    if (
-        options.incremental
-        and options.use_memoization
-        and all(isinstance(n, str) for n in graph.nodes)
-    ):
-        try:
-            from repro.service.incremental import DetIncremental
-
-            inc = DetIncremental.create(
-                graph,
-                programs,
-                work_graph,
-                work_programs,
-                domains,
-                options,
-                store=incremental_store,
-            )
-        except Exception:
-            inc = None  # unusable storage degrades to a cold run
-    if inc is not None:
-        served = inc.lookup_root()
-        if served is not None:
-            served.stats.subtree_reuse_hits += 1
-            return served
-        explorer: _Explorer = _IncrementalExplorer(
-            work_graph, work_programs, bank, options, deadline, inc
-        )
-        stats.commute_cache_hits += explorer.commute_hits
-    else:
-        explorer = _Explorer(work_graph, work_programs, bank, options, deadline)
-
+    explorer = _Explorer(work_graph, work_programs, bank, options, deadline)
     explorer.run(init)
 
     stats.explore_seconds = explorer.explore_seconds
@@ -675,34 +436,8 @@ def check_determinism(
     finals = explorer.finals
     stats.distinct_finals = len(finals)
 
-    if inc is not None and isinstance(explorer, _IncrementalExplorer):
-        stats.subtree_reuse_hits += explorer.subtree_hits
-        stats.branches_explored += explorer.graft_branches
-        stats.memo_hits += explorer.graft_memo
-        stats.states_merged += explorer.graft_merged
-        explorer.spill()
-        if explorer.grafted:
-            # Some subtrees were served from the store, so `finals`
-            # only covers the explored region.  The graft is
-            # conclusive only when every final state — explored and
-            # grafted — has the same digest; anything else (including
-            # a grafted divergence) needs the symbolic witness, which
-            # only a from-scratch walk can produce.
-            combined = explorer.combined_final_digests()
-            stats.distinct_finals = len(combined)
-            if len(combined) == 1:
-                stats.total_seconds = time.perf_counter() - start
-                return DeterminismResult(True, stats)
-            scratch = check_determinism(
-                graph, programs, replace(options, incremental=False)
-            )
-            inc.record_root(scratch)
-            return scratch
-
     if len(finals) <= 1:
         stats.total_seconds = time.perf_counter() - start
-        if inc is not None:
-            inc.record_root(DeterminismResult(True, stats))
         return DeterminismResult(True, stats)
 
     base_state, base_order = finals[0]
@@ -763,8 +498,6 @@ def check_determinism(
     stats.total_seconds = time.perf_counter() - start
 
     if result is None or not result.sat:
-        if inc is not None:
-            inc.record_root(DeterminismResult(True, stats))
         return DeterminismResult(True, stats)
 
     witness = decode_filesystem(domains, result.named_model)
@@ -808,7 +541,7 @@ def check_determinism(
     if orders is not None:
         order_pair = (orders[0], orders[1])
         outcome_pair = (orders[2], orders[3])
-    nondet = DeterminismResult(
+    return DeterminismResult(
         False,
         stats,
         witness_fs=witness,
@@ -816,9 +549,6 @@ def check_determinism(
         witness_outcomes=outcome_pair,
         race=race,
     )
-    if inc is not None:
-        inc.record_root(nondet)
-    return nondet
 
 
 def _unordered_pairs_commute(graph: "nx.DiGraph", matrix) -> bool:

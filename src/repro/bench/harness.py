@@ -426,8 +426,9 @@ def warm_reverify_rows(
     a ``resources``-file catalog from scratch, then with a cold
     incremental store, then re-verify a one-resource edit against the
     now-hot store.  The warm row is the headline: the store already
-    holds per-resource idempotence verdicts and CNF blocks for the
-    untouched resources, so only the edited resource is re-solved."""
+    holds the commutativity verdicts of every pair and the
+    per-resource idempotence verdicts of the untouched resources, so
+    only the edited resource's ``r;r ≡ r`` check is re-solved."""
     import tempfile
 
     from repro.service.incremental import reset_store_registry

@@ -109,10 +109,11 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--incremental",
         action="store_true",
-        help="reuse intermediate results (CNF blocks, commutativity "
-        "pairs, exploration subtrees) from a persistent store across "
-        "runs; verdicts are byte-identical to from-scratch runs "
-        "(default: off, or REHEARSAL_INCREMENTAL=1)",
+        help="check idempotence resource by resource when every "
+        "resource pair commutes, reusing commutativity and "
+        "per-resource idempotence verdicts from a persistent store "
+        "across runs; verdicts are byte-identical to from-scratch "
+        "runs (default: off, or REHEARSAL_INCREMENTAL=1)",
     )
     parser.add_argument(
         "--incremental-dir",
@@ -523,8 +524,8 @@ def build_cache_parser() -> argparse.ArgumentParser:
         description=(
             "Inspect and manage the on-disk caches: the verdict cache "
             "(one JSON entry per verified manifest) and the "
-            "incremental store (CNF blocks, commutativity pairs, "
-            "exploration subtrees reused across runs).  Both live in "
+            "incremental store (commutativity and per-resource "
+            "idempotence verdicts reused across runs).  Both live in "
             "the cache directory (REHEARSAL_CACHE_DIR, else "
             "$XDG_CACHE_HOME/rehearsal)."
         ),

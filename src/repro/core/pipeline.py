@@ -207,40 +207,22 @@ class Rehearsal:
                     entry.resource.line,
                     entry.resource.col,
                 )
-        # One store handle for the whole verify: the determinism and
-        # idempotence checks used to resolve it independently per
-        # call; a resident daemon additionally pins this same handle
-        # for its process lifetime (see repro.service.daemon), so
-        # every request lands on the hot SQLite connection.
-        store = None
-        if self.options.incremental:
-            # Lazy import: service.incremental is only needed on the
-            # opt-in incremental path, and importing it eagerly would
-            # wire the analysis layer to the service layer for every
-            # caller.
-            from repro.service.incremental import open_store
-
-            store = open_store(
-                getattr(self.options, "incremental_dir", None)
-            )
         try:
-            det = check_determinism(
-                graph, programs, self.options, incremental_store=store
-            )
+            det = check_determinism(graph, programs, self.options)
             report.determinism = det
             report.deterministic = det.deterministic
             if det.deterministic:
                 if self.options.incremental:
+                    # Lazy import: service.incremental is only needed
+                    # on the opt-in incremental path, and importing it
+                    # eagerly would wire the core layer to the service
+                    # layer for every caller.
                     from repro.service.incremental import (
                         check_idempotence_incremental,
                     )
 
                     idem = check_idempotence_incremental(
-                        graph,
-                        programs,
-                        options=self.options,
-                        stats=det.stats,
-                        store=store,
+                        graph, programs, options=self.options, stats=det.stats
                     )
                 else:
                     idem = check_idempotence(

@@ -121,8 +121,11 @@ def ensure_directory_tree(
                 if ancestor != below:
                     continue
             dirs.add(ancestor)
+    # Ties on depth break by path name, not set order: the program
+    # (and every digest of it) must not depend on the hash seed.
     steps = [
-        guarded_mkdir(d) for d in sorted(dirs, key=lambda d: d.depth())
+        guarded_mkdir(d)
+        for d in sorted(dirs, key=lambda d: (d.depth(), str(d)))
     ]
     return seq(*steps)
 

@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Optional, Union
 
@@ -159,7 +160,10 @@ class VerdictCache:
             "result": result.to_dict(),
         }
         path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        # One temp name per writing thread: daemon workers share a
+        # process, and a per-process name would let two threads writing
+        # the same key rename each other's temp file away.
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             tmp.write_text(json.dumps(payload, indent=2), encoding="utf8")

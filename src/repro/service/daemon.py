@@ -236,11 +236,11 @@ class RehearsalDaemon:
             workers=1,  # serial in-process; concurrency is the thread pool
             cache=self.cache,
         )
-        # The "daemon mode" headroom of ROADMAP #4: resolve the
-        # incremental-store handle once and hold it for the process
-        # lifetime, so every request (and every watcher re-verify)
-        # lands on the same hot SQLite connection instead of paying a
-        # registry round-trip per call.
+        # The "daemon mode" headroom of ROADMAP #4: open the
+        # incremental store once at start.  The process-wide registry
+        # (repro.service.incremental.open_store) then hands every
+        # request and every watcher re-verify this same hot SQLite
+        # connection.
         self.incremental_store = None
         if self.config.options.incremental:
             from repro.service.incremental import open_store

@@ -2,31 +2,27 @@
 
 The verdict cache (:mod:`repro.service.cache`) memoizes whole-manifest
 results: one edited line invalidates everything.  This module keys the
-*intermediate* results on content digests instead, so a re-verify after
-a small edit reuses everything the edit did not invalidate:
+two memos of the commuting decomposition on content digests instead, so
+a re-verify after a small edit re-checks only what the edit touched.
 
-- **CNF blocks** (``cnf`` section): Tseitin encodings of and/or
-  subformulas, keyed by the stable structural digest of
-  :func:`repro.logic.terms.structural_digest` (term uids are
-  process-local and cannot be persisted).  Rehydration allocates fresh
-  internal variables and resolves input variables by name — see
-  :class:`repro.logic.cnf.SubtermCache`.
+The dominant cost of a verify on large catalogs is the ``e ≡ e; e``
+check over the whole sequenced catalog.
+:func:`check_idempotence_incremental` decomposes it: when every
+resource pair commutes (Lemma 4), ``e;e`` reorders to
+``r1;r1;…;rn;rn``, so per-resource idempotence (over *all* states, a
+strictly stronger property than the well-formed-initial variant)
+implies catalog idempotence.  The store holds exactly what that needs:
+
 - **Commutativity verdicts** (``commute`` section): one bool per
   resource-pair *footprint* digest, so unchanged pairs skip
   :func:`repro.analysis.commutativity.footprints_commute`.
-- **Per-resource idempotence** (``idem``) and **full-catalog
-  idempotence** (``idem_full``): the dominant cost of a verify on large
-  catalogs is the ``e ≡ e; e`` check over the whole sequenced catalog.
-  :func:`check_idempotence_incremental` decomposes it — when every
-  resource pair commutes, ``e;e`` reorders to ``r1;r1;…;rn;rn``, so
-  per-resource idempotence (over *all* states, a strictly stronger
-  property than the well-formed-initial variant) implies catalog
-  idempotence.  The fast path only ever concludes *positively*; any
-  non-commuting pair or non-idempotent resource falls back to the
-  exact from-scratch check, so verdicts are byte-identical either way.
-- **Exploration subtrees** (``explore``) and **root determinism
-  results** (``det_root``): see :mod:`repro.analysis.determinism` for
-  the graft rules and the scratch-rerun parity guard.
+- **Per-resource idempotence** (``idem`` section): one bool per
+  program digest, so unchanged resources skip their ``r;r ≡ r`` SAT
+  check.
+
+The fast path only ever concludes *positively*; any non-commuting pair
+or non-idempotent resource falls back to the exact from-scratch check,
+so verdicts are byte-identical either way.
 
 Storage is a single SQLite database (stdlib ``sqlite3``), versioned by
 ``STORE_VERSION`` *and* the package version: any mismatch drops the
@@ -39,8 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-import os
 import sqlite3
 import threading
 import time
@@ -53,17 +47,14 @@ from repro import __version__
 from repro.analysis.commutativity import Footprint, footprint, footprints_commute
 from repro.analysis.equivalence import check_equivalence
 from repro.analysis.idempotence import IdempotenceResult, check_idempotence
-from repro.analysis.localize import RaceReport
-from repro.fs import FileSystem, eval_expr, seq
 from repro.fs import syntax as fx
-from repro.fs.paths import Path
 
 NodeId = Hashable
 
 #: Bump to invalidate every persisted entry (layout or semantics
 #: change).  The package version is part of the gate too, mirroring the
 #: verdict cache's version rotation.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 _STORE_FILENAME = "incremental.sqlite"
 
@@ -232,24 +223,14 @@ class IncrementalStore:
             except sqlite3.Error:
                 self._trip()
 
-    def get_json(self, section: str, key: str) -> Optional[dict]:
-        raw = self.get(section, key)
-        if raw is None:
-            return None
-        try:
-            value = json.loads(raw)
-        except ValueError:
-            return None
-        return value if isinstance(value, dict) else None
-
-    def put_json(self, section: str, key: str, value: dict) -> None:
-        self.put(section, key, json.dumps(value, sort_keys=True))
-
     # -- maintenance ---------------------------------------------------------
 
     def stats(self) -> dict:
         """Per-section entry counts and value bytes plus the on-disk
-        file size, for ``rehearsal cache stats``."""
+        size, for ``rehearsal cache stats``.  The on-disk size counts
+        the ``-wal`` and ``-shm`` files too: recent writes live in the
+        write-ahead log until a checkpoint folds them into the main
+        file."""
         sections: Dict[str, dict] = {}
         entries = 0
         value_bytes = 0
@@ -272,10 +253,12 @@ class IncrementalStore:
                         }
                         entries += count
                         value_bytes += nbytes
-        try:
-            file_bytes = self.path.stat().st_size
-        except OSError:
-            file_bytes = 0
+        file_bytes = 0
+        for suffix in ("", "-wal", "-shm"):
+            try:
+                file_bytes += OsPath(f"{self.path}{suffix}").stat().st_size
+            except OSError:
+                pass
         return {
             "path": str(self.path),
             "entries": entries,
@@ -403,93 +386,18 @@ def footprint_digest(fp: Footprint) -> str:
     return _blake(f"fp:{accesses!r}:{children!r}")
 
 
-def domains_digest(domains) -> str:
-    """Digest of the modeled path domains (Fig. 8).  Part of every
-    exploration key: a content edit can grow a path's value domain, and
-    states over different domains are never interchangeable."""
-    parts = []
-    for p in domains.paths:
-        values = ",".join(repr(v) for v in domains.values(p))
-        parts.append(f"{p}=[{values}]")
-    return _blake("dom:" + ";".join(parts))
-
-
-def state_digest(bank, state) -> str:
-    """Stable digest of a symbolic state: the ``ok`` term plus every
-    path's value indicators, all via structural term digests.  Within
-    one bank this is injective exactly like
-    :meth:`~repro.smt.state.SymbolicState.fingerprint` (hash-consing
-    makes structural equality identity), but unlike the fingerprint it
-    survives across processes."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(bank.digest(state.ok).encode("ascii"))
-    for path, value in sorted(
-        state.fs.items(), key=lambda kv: str(kv[0])
-    ):
-        h.update(str(path).encode("utf8"))
-        for dv, term in sorted(
-            value.indicators.items(), key=lambda kv: repr(kv[0])
-        ):
-            h.update(repr(dv).encode("utf8"))
-            h.update(bank.digest(term).encode("ascii"))
-    return h.hexdigest()
-
-
-# -- persistent CNF block cache ----------------------------------------------
-
-
-class StoreSubtermCache:
-    """:class:`repro.logic.cnf.SubtermCache` over the ``cnf`` section.
-
-    Attached only to the one-shot idempotence queries — never to the
-    determinism :class:`~repro.smt.query.IncrementalQuery`, whose CNF
-    layout feeds race localization and must stay byte-identical to the
-    from-scratch run.
-    """
-
-    #: Blocks above this many clauses are not persisted (a whole-goal
-    #: block for a large catalog can dwarf everything else in the
-    #: store; sub-blocks still cover the reusable structure).
-    MAX_CLAUSES = 50_000
-
-    def __init__(self, store: IncrementalStore):
-        self._store = store
-
-    def get(self, digest: str) -> Optional[dict]:
-        block = self._store.get_json("cnf", digest)
-        if block is None:
-            return None
-        if not (
-            isinstance(block.get("v"), int)
-            and isinstance(block.get("names"), list)
-            and isinstance(block.get("root"), int)
-            and isinstance(block.get("clauses"), list)
-        ):
-            return None  # damaged entry: miss, re-encode from scratch
-        return block
-
-    def put(self, digest: str, block: dict) -> None:
-        if len(block["clauses"]) > self.MAX_CLAUSES:
-            return
-        self._store.put_json("cnf", digest, block)
-
-
 # -- cached commutativity matrix ---------------------------------------------
 
 
 def cached_commutativity_matrix(
     footprints: Mapping[NodeId, Footprint],
-    store: Optional[IncrementalStore],
+    store: IncrementalStore,
 ) -> Tuple[Dict[NodeId, Dict[NodeId, bool]], int]:
     """All-pairs commutativity, with per-pair verdicts persisted by
-    footprint digest.  Returns ``(matrix, cache_hits)``; with no store
-    this is exactly :func:`commutativity_matrix`."""
+    footprint digest.  Returns ``(matrix, cache_hits)``; the matrix is
+    exactly :func:`~repro.analysis.commutativity.commutativity_matrix`'s."""
     keys = list(footprints)
     matrix: Dict[NodeId, Dict[NodeId, bool]] = {k: {k: True} for k in keys}
-    if store is None:
-        from repro.analysis.commutativity import commutativity_matrix
-
-        return commutativity_matrix(footprints), 0
     digests = {k: footprint_digest(footprints[k]) for k in keys}
     pair_key: Dict[Tuple[NodeId, NodeId], str] = {}
     for i, a in enumerate(keys):
@@ -520,47 +428,24 @@ def cached_commutativity_matrix(
 # -- incremental idempotence -------------------------------------------------
 
 
-def _fs_to_dict(fs: Optional[FileSystem]) -> Optional[Dict[str, Optional[str]]]:
-    if fs is None:
-        return None
-    return {
-        str(p): (None if fs.is_dir(p) else fs.file_content(p))
-        for p in fs.paths()
-    }
-
-
-def _fs_from_dict(
-    entries: Optional[Mapping[str, Optional[str]]]
-) -> Optional[FileSystem]:
-    if entries is None:
-        return None
-    return FileSystem.from_dict(entries)
-
-
 def check_idempotence_incremental(
     graph: "nx.DiGraph",
     programs: Dict[NodeId, fx.Expr],
     options,
     stats=None,
-    store: Optional[IncrementalStore] = None,
 ) -> IdempotenceResult:
     """Idempotence with cross-run reuse; byte-identical verdicts.
 
-    Three tiers, each falling through to the next:
-
-    1. **Full-catalog hit** (``idem_full``): the exact per-resource
-       program digests in topological order were decided before —
-       serve the recorded verdict (and witness).
-    2. **Commuting decomposition**: when every resource pair commutes
+    1. **Commuting decomposition**: when every resource pair commutes
        (Lemma 4), ``e;e = r1…rn;r1…rn ≡ r1;r1;…;rn;rn``, so catalog
        idempotence follows from per-resource idempotence.  Each
        ``ri;ri ≡ ri`` is checked over *all* initial states
        (``well_formed_initial=False`` — stronger than the catalog
        property, so the implication needs no well-formedness
-       preservation argument) and cached by program digest.  This tier
+       preservation argument) and cached by program digest.  This step
        only ever concludes **positively**; a non-commuting pair or a
        non-idempotent resource falls through.
-    3. **Exact fallback**: the unmodified from-scratch
+    2. **Exact fallback**: the unmodified from-scratch
        :func:`~repro.analysis.idempotence.check_idempotence` — same
        code path, same witness, byte-identical result.
 
@@ -569,26 +454,11 @@ def check_idempotence_incremental(
     """
     start = time.perf_counter()
     wf = bool(options.well_formed_initial)
-    if store is None or store.disabled:
-        store = open_store(getattr(options, "incremental_dir", None))
-    order: List[NodeId] = list(nx.topological_sort(graph))
+    store = open_store(getattr(options, "incremental_dir", None))
     if store is None:
         return check_idempotence(graph, programs, well_formed_initial=wf)
 
-    digests = {n: expr_digest(programs[n]) for n in order}
-    full_key = _blake(
-        f"idem_full:wf={int(wf)}:" + ":".join(digests[n] for n in order)
-    )
-    entry = store.get_json("idem_full", full_key)
-    if entry is not None and isinstance(entry.get("idempotent"), bool):
-        if stats is not None:
-            stats.subtree_reuse_hits += 1
-        return IdempotenceResult(
-            idempotent=entry["idempotent"],
-            witness_fs=_fs_from_dict(entry.get("witness")),
-            total_seconds=time.perf_counter() - start,
-        )
-
+    order: List[NodeId] = list(nx.topological_sort(graph))
     prints = {n: footprint(programs[n]) for n in order}
     matrix, commute_hits = cached_commutativity_matrix(prints, store)
     if stats is not None:
@@ -600,7 +470,7 @@ def check_idempotence_incremental(
     )
 
     if all_commute:
-        cnf_cache = StoreSubtermCache(store)
+        digests = {n: expr_digest(programs[n]) for n in order}
         cached_bools = store.get_many("idem", [digests[n] for n in order])
         all_idem = True
         fresh: Dict[str, str] = {}
@@ -614,15 +484,9 @@ def check_idempotence_incremental(
                 idem = raw == "1"
             else:
                 e = programs[n]
-                res = check_equivalence(
-                    e,
-                    fx.seq(e, e),
-                    well_formed_initial=False,
-                    cnf_cache=cnf_cache,
-                )
-                if stats is not None:
-                    stats.cnf_cache_hits += res.cnf_cache_hits
-                idem = res.equivalent
+                idem = check_equivalence(
+                    e, fx.seq(e, e), well_formed_initial=False
+                ).equivalent
                 fresh[digests[n]] = "1" if idem else "0"
             if not idem:
                 all_idem = False
@@ -630,9 +494,6 @@ def check_idempotence_incremental(
         if fresh:
             store.put_many("idem", list(fresh.items()))
         if all_idem:
-            store.put_json(
-                "idem_full", full_key, {"idempotent": True, "witness": None}
-            )
             return IdempotenceResult(
                 idempotent=True,
                 witness_fs=None,
@@ -640,295 +501,8 @@ def check_idempotence_incremental(
             )
 
     result = check_idempotence(graph, programs, well_formed_initial=wf)
-    store.put_json(
-        "idem_full",
-        full_key,
-        {
-            "idempotent": result.idempotent,
-            "witness": _fs_to_dict(result.witness_fs),
-        },
-    )
     return IdempotenceResult(
         idempotent=result.idempotent,
         witness_fs=result.witness_fs,
         total_seconds=time.perf_counter() - start,
     )
-
-
-# -- determinism-side persistence --------------------------------------------
-
-
-def _det_options_digest(options) -> str:
-    """Digest of every option that can change the determinism result.
-    Only ``incremental``/``incremental_dir`` are excluded (cache
-    plumbing, not inputs — the verdict contract).  ``timeout_seconds``
-    stays in: a run whose budget would have expired must keep raising
-    its timeout error row-for-row with a from-scratch run, not get
-    rescued by a verdict recorded under a more generous budget."""
-    d = dataclasses.asdict(options)
-    d.pop("incremental", None)
-    d.pop("incremental_dir", None)
-    return _blake("opts:" + json.dumps(d, sort_keys=True, default=repr))
-
-
-class DetIncremental:
-    """Store context for one :func:`check_determinism` run.
-
-    Holds the digests that key this manifest's exploration state:
-
-    - ``root_key`` identifies the whole post-pass work set (programs
-      after elimination/pruning/simplification, induced edges, modeled
-      domains, analysis options).  The ``det_root`` section maps it to
-      a complete recorded result — an unchanged work set (e.g. an edit
-      to a pruned-away private path) is served without exploring.
-    - :meth:`subtree_key` identifies one ``(remaining, state)``
-      exploration node; the ``explore`` section maps it to that
-      subtree's final-state digests plus the effort counters a
-      standalone exploration from there would report.
-
-    Creation is infallible-by-construction: :meth:`create` returns
-    None whenever storage is unusable, and every lookup validates the
-    entry shape — a damaged record is a miss, never a wrong verdict.
-    """
-
-    #: Walks with more distinct exploration nodes than this are not
-    #: spilled (quadratic post-pass; such manifests are near the branch
-    #: budget anyway).
-    SPILL_MAX_NODES = 600
-
-    def __init__(
-        self,
-        store: IncrementalStore,
-        graph: "nx.DiGraph",
-        programs: Dict[NodeId, fx.Expr],
-        work_graph: "nx.DiGraph",
-        work_programs: Dict[NodeId, fx.Expr],
-        domains,
-        options,
-    ):
-        self.store = store
-        self.graph = graph
-        self.programs = programs
-        self.domain_digest = domains_digest(domains)
-        self.opts_digest = _det_options_digest(options)
-        self.work_digests: Dict[NodeId, str] = {
-            n: expr_digest(work_programs[n]) for n in work_graph.nodes
-        }
-        self._edge_list = list(work_graph.edges)
-        self.orig_digests = sorted(
-            (str(n), expr_digest(programs[n])) for n in graph.nodes
-        )
-        work_set = sorted(
-            (str(n), d) for n, d in self.work_digests.items()
-        )
-        work_edges = sorted(
-            (str(u), str(v)) for u, v in self._edge_list
-        )
-        self.root_key = _blake(
-            "det_root:"
-            + self.opts_digest
-            + self.domain_digest
-            + repr(work_set)
-            + repr(work_edges)
-        )
-
-    @classmethod
-    def create(
-        cls,
-        graph,
-        programs,
-        work_graph,
-        work_programs,
-        domains,
-        options,
-        store: Optional[IncrementalStore] = None,
-    ) -> Optional["DetIncremental"]:
-        """``store`` — an already-open handle to reuse (the pipeline
-        resolves one per verify, the daemon one per process); without
-        it the process-wide registry is consulted per call."""
-        if store is None or store.disabled:
-            store = open_store(getattr(options, "incremental_dir", None))
-        if store is None:
-            return None
-        return cls(
-            store, graph, programs, work_graph, work_programs, domains, options
-        )
-
-    # -- exploration subtrees ------------------------------------------------
-
-    def subtree_key(self, remaining: frozenset, state_dig: str) -> str:
-        rem = sorted((str(n), self.work_digests[n]) for n in remaining)
-        edges = sorted(
-            (str(u), str(v))
-            for u, v in self._edge_list
-            if u in remaining and v in remaining
-        )
-        return _blake(
-            "explore:"
-            + self.opts_digest
-            + self.domain_digest
-            + repr(rem)
-            + repr(edges)
-            + state_dig
-        )
-
-    def lookup_subtree(self, key: str) -> Optional[dict]:
-        entry = self.store.get_json("explore", key)
-        if entry is None:
-            return None
-        finals = entry.get("finals")
-        if not (
-            isinstance(finals, list)
-            and finals
-            and all(isinstance(f, str) for f in finals)
-            and all(
-                isinstance(entry.get(k), int)
-                for k in ("branches", "memo", "merged")
-            )
-        ):
-            return None
-        return entry
-
-    def spill_subtrees(self, items: List[Tuple[str, dict]]) -> None:
-        self.store.put_many(
-            "explore",
-            [(k, json.dumps(v, sort_keys=True)) for k, v in items],
-        )
-
-    # -- whole-result cache --------------------------------------------------
-
-    def lookup_root(self):
-        """The recorded result for this work set, or None.  Returns a
-        fully reconstructed ``DeterminismResult`` — stats verbatim as
-        recorded, witnesses/races rebuilt, outcomes re-derived by
-        concrete replay of the recorded orders (outcome objects are not
-        serialized; replaying the deterministic evaluator reproduces
-        them exactly)."""
-        from repro.analysis.determinism import (
-            DeterminismResult,
-            DeterminismStats,
-        )
-
-        entry = self.store.get_json("det_root", self.root_key)
-        if entry is None or not isinstance(
-            entry.get("deterministic"), bool
-        ):
-            return None
-        raw_stats = entry.get("stats")
-        if not isinstance(raw_stats, dict):
-            return None
-        stats = DeterminismStats()
-        for f in dataclasses.fields(stats):
-            value = raw_stats.get(f.name)
-            if isinstance(value, (bool, int, float)):
-                setattr(stats, f.name, value)
-        if entry["deterministic"]:
-            return DeterminismResult(True, stats)
-        # Non-deterministic entries carry witness material that was
-        # derived from the *original* programs; a different original
-        # catalog can reduce to the same work set, so serve only on an
-        # exact original match.
-        if entry.get("originals") != [list(p) for p in self.orig_digests]:
-            return None
-        try:
-            witness = _fs_from_dict(entry.get("witness"))
-        except (KeyError, ValueError, TypeError):
-            return None
-        if witness is None:
-            return None
-        orders = entry.get("orders")
-        order_pair = None
-        outcome_pair = None
-        if orders is not None:
-            if not (
-                isinstance(orders, list)
-                and len(orders) == 2
-                and all(isinstance(o, list) for o in orders)
-            ):
-                return None
-            progs = {str(n): self.programs[n] for n in self.graph.nodes}
-            try:
-                outcomes = [
-                    eval_expr(seq(*[progs[n] for n in order]), witness)
-                    for order in orders
-                ]
-            except KeyError:
-                return None
-            order_pair = (list(orders[0]), list(orders[1]))
-            outcome_pair = (outcomes[0], outcomes[1])
-        raw_race = entry.get("race")
-        race = None
-        if raw_race is not None:
-            if not isinstance(raw_race, dict):
-                return None
-            try:
-                race = RaceReport(
-                    resource_a=raw_race["a"],
-                    resource_b=raw_race["b"],
-                    path=(
-                        Path.of(raw_race["path"])
-                        if raw_race.get("path") is not None
-                        else None
-                    ),
-                    core_paths=[
-                        Path.of(p) for p in raw_race.get("core_paths", [])
-                    ],
-                    ok_divergence=bool(raw_race.get("ok_divergence")),
-                    checks=int(raw_race.get("checks", 0)),
-                )
-            except (KeyError, ValueError, TypeError):
-                return None
-        return DeterminismResult(
-            False,
-            stats,
-            witness_fs=witness,
-            witness_orders=order_pair,
-            witness_outcomes=outcome_pair,
-            race=race,
-        )
-
-    def record_root(self, result) -> None:
-        """Persist a finished result (never errors/budget blowups —
-        those are transient, not functions of the manifest)."""
-        if result.stats.elimination_fallback:
-            # The fallback recursion recorded itself under its own
-            # options digest; this key's exploration was discarded.
-            return
-        entry: dict = {
-            "deterministic": bool(result.deterministic),
-            "stats": dataclasses.asdict(result.stats),
-        }
-        if not result.deterministic:
-            if result.witness_fs is None:
-                return
-            entry["originals"] = [list(p) for p in self.orig_digests]
-            entry["witness"] = _fs_to_dict(result.witness_fs)
-            entry["orders"] = (
-                [list(map(str, o)) for o in result.witness_orders]
-                if result.witness_orders is not None
-                else None
-            )
-            entry["race"] = (
-                {
-                    "a": str(result.race.resource_a),
-                    "b": str(result.race.resource_b),
-                    "path": (
-                        str(result.race.path)
-                        if result.race.path is not None
-                        else None
-                    ),
-                    "core_paths": [str(p) for p in result.race.core_paths],
-                    "ok_divergence": result.race.ok_divergence,
-                    "checks": result.race.checks,
-                }
-                if result.race is not None
-                else None
-            )
-        self.store.put_json("det_root", self.root_key, entry)
-
-    # -- commutativity -------------------------------------------------------
-
-    def commutativity(
-        self, footprints: Mapping[NodeId, Footprint]
-    ) -> Tuple[Dict[NodeId, Dict[NodeId, bool]], int]:
-        return cached_commutativity_matrix(footprints, self.store)

@@ -22,15 +22,18 @@ from repro.core.pipeline import VerificationReport
 #: diagnostics — see :mod:`repro.analysis.lint`).  Version 4: rows
 #: grew ``solver_backend``, the label of the SAT backend the verdict
 #: was computed under.  Version 5: rows grew the incremental-reuse
-#: counters (``subtree_reuse_hits``, ``cnf_cache_hits``,
-#: ``commute_cache_hits`` — see :mod:`repro.service.incremental`); all
-#: three are zero on from-scratch runs, so incremental and scratch
-#: rows stay comparable field-for-field.  Version 6: ``solver_backend``
-#: dropped — every verdict is computed by the one CDCL solver, so the
-#: field could only ever say ``"cdcl"``.  The version participates in the verdict cache key
-#: (:func:`repro.service.cache.cache_key`), so entries written under
-#: an older schema rotate out instead of deserializing incompletely.
-SCHEMA_VERSION = 6
+#: counters (``subtree_reuse_hits``, ``commute_cache_hits`` and a
+#: CNF-block counter — see :mod:`repro.service.incremental`); all are
+#: zero on from-scratch runs, so incremental and scratch rows stay
+#: comparable field-for-field.  Version 6: ``solver_backend`` dropped —
+#: every verdict is computed by the one CDCL solver, so the field could
+#: only ever say ``"cdcl"``.  Version 7: the CNF-block counter dropped
+#: with the store's CNF-block section; the store now holds only the
+#: ``commute`` and ``idem`` memos.  The version participates in the
+#: verdict cache key (:func:`repro.service.cache.cache_key`), so
+#: entries written under an older schema rotate out instead of
+#: deserializing incompletely.
+SCHEMA_VERSION = 7
 
 #: ``ManifestResult.status`` values.
 STATUS_OK = "ok"  # verified: deterministic and idempotent
@@ -69,13 +72,12 @@ class ManifestResult:
     #: severity ``counts``, ``diagnostics`` and ``stats``.  ``None``
     #: when linting itself crashed (never blocks the verification row).
     lint: Optional[dict] = None
-    #: Incremental-store reuse counters (schema v5): how much of this
-    #: verdict was rehydrated from the persistent store
-    #: (:mod:`repro.service.incremental`).  Like the timing fields
-    #: they describe the *run*, not the verdict — a from-scratch run
-    #: reports zeros for the byte-identical verdict.
+    #: Incremental-store reuse counters (schema v5): per-resource
+    #: idempotence and per-pair commutativity verdicts served from the
+    #: persistent store (:mod:`repro.service.incremental`).  Like the
+    #: timing fields they describe the *run*, not the verdict — a
+    #: from-scratch run reports zeros for the byte-identical verdict.
     subtree_reuse_hits: int = 0
-    cnf_cache_hits: int = 0
     commute_cache_hits: int = 0
     sha256: str = ""
     cache_key: str = ""
@@ -138,7 +140,6 @@ class ManifestResult:
             subtree_reuse_hits=(
                 det_stats.subtree_reuse_hits if det_stats else 0
             ),
-            cnf_cache_hits=det_stats.cnf_cache_hits if det_stats else 0,
             commute_cache_hits=(
                 det_stats.commute_cache_hits if det_stats else 0
             ),
@@ -267,7 +268,6 @@ RUN_CIRCUMSTANCE_FIELDS = (
     "cached",
     "deduplicated",
     "subtree_reuse_hits",
-    "cnf_cache_hits",
     "commute_cache_hits",
 )
 

@@ -369,10 +369,11 @@ file { '/etc/app.conf2': content => 'b' }
     def test_schema_version_bumped_for_exploration_fields(self):
         # v2 added the exploration stats; v3 added the lint block;
         # v4 added the solver_backend label; v5 added the
-        # incremental-reuse counters; v6 dropped solver_backend.
+        # incremental-reuse counters; v6 dropped solver_backend;
+        # v7 dropped cnf_cache_hits.
         from repro.service.schema import SCHEMA_VERSION
 
-        assert SCHEMA_VERSION == 6
+        assert SCHEMA_VERSION == 7
 
     def test_cache_key_rotates_with_schema_version(self, monkeypatch):
         import repro.service.cache as cache_mod

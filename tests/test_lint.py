@@ -300,7 +300,7 @@ class TestBatchLintRow:
             ]
         )
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 6
+        assert data["schema_version"] == 7
         rows = {r["name"].rsplit("/", 1)[-1]: r for r in data["results"]}
         assert rows["clean.pp"]["lint"]["clean"] is True
         assert rows["race.pp"]["lint"]["clean"] is False

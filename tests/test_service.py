@@ -185,6 +185,39 @@ class TestVerdictCache:
         assert report.cache.write_errors == 1
         assert report.results[0].ok
 
+    def test_concurrent_puts_of_one_key_all_persist(self, tmp_path):
+        # Daemon worker threads share a process: writers of the same
+        # key must not rename each other's temp file away.
+        import sys
+        import threading
+
+        cache = VerdictCache(tmp_path)
+        keys = [cache_key(f"file {{ '/f{i}': }}") for i in range(5)]
+
+        def writer(tag):
+            for i in range(60):
+                key = keys[i % len(keys)]
+                cache.put(key, ManifestResult(name=f"{tag}-{i}", status="ok"))
+
+        threads = [
+            threading.Thread(target=writer, args=(t,)) for t in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.write_errors == 0
+        for key in keys:
+            assert cache.get(key) is not None
+        assert cache.corrupted == 0
+        assert not list(cache.directory.glob("*.tmp.*"))
+
     def test_clear_sweeps_orphaned_temp_files(self, tmp_path):
         cache = VerdictCache(tmp_path)
         cache.put(cache_key(GOOD), ManifestResult(name="a", status="ok"))
