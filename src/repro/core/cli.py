@@ -21,11 +21,11 @@ Every command runs behind one ``rehearsal`` entry point (see setup.py
   manage both on-disk caches: the verdict cache and the incremental
   store (:mod:`repro.service.incremental`); ``gc --max-bytes N``
   evicts oldest-first until each fits the budget.
-* ``rehearsal solve <file.cnf>`` — run the SAT substrate (CNF
-  preprocessing + CDCL) on a DIMACS instance, the standard way to
-  debug the solving pipeline offline; ``--dump`` round-trips the
-  post-preprocessing solver state back to DIMACS.  Exit codes follow
-  the SAT-competition convention: 10 satisfiable, 20 unsatisfiable.
+* ``rehearsal solve <file.cnf>`` — run the CDCL solver on a DIMACS
+  instance, the standard way to debug the solving pipeline offline;
+  ``--dump`` writes the clause database the solver holds for the
+  input back out as DIMACS.  Exit codes follow the SAT-competition
+  convention: 10 satisfiable, 20 unsatisfiable.
 * ``rehearsal fuzz [--seed N --budget S --shrink --out DIR]`` —
   differential fuzzing: random catalogs through both the symbolic
   pipeline and the concrete interleavings oracle
@@ -619,35 +619,29 @@ def run_cache(argv) -> int:
 
 
 def run_solve(argv) -> int:
-    """Solve a DIMACS CNF file with the preprocessing + CDCL pipeline.
+    """Solve a DIMACS CNF file with the CDCL solver.
 
     Exit codes: 10 satisfiable, 20 unsatisfiable, 2 bad invocation —
     the SAT-competition convention, so the subcommand slots into
     standard solver harnesses.
     """
     from repro.sat.dimacs import read_dimacs
-    from repro.sat.preprocess import preprocess
     from repro.sat.solver import Solver
 
     parser = argparse.ArgumentParser(
         prog="rehearsal solve",
         description=(
             "Decide satisfiability of a DIMACS CNF file using "
-            "Rehearsal's SAT substrate (CNF preprocessing + CDCL)."
+            "Rehearsal's CDCL solver."
         ),
     )
     parser.add_argument("cnf", help="path to a DIMACS .cnf file")
     parser.add_argument(
-        "--no-preprocess",
-        action="store_true",
-        help="feed the raw clauses to the CDCL solver unsimplified",
-    )
-    parser.add_argument(
         "--dump",
         metavar="PATH",
         default=None,
-        help="write the (post-preprocessing) solver clause database "
-        "back out as DIMACS before solving",
+        help="write the clause database the solver holds for the "
+        "input back out as DIMACS before solving",
     )
     args = parser.parse_args(argv)
 
@@ -660,47 +654,11 @@ def run_solve(argv) -> int:
         print(f"error: cannot read CNF {args.cnf}: {exc}", file=sys.stderr)
         return 2
 
-    pre = None
     solver = Solver()
-    if args.no_preprocess:
-        for clause in clauses:
-            solver.add_clause(clause)
-        print(f"c {len(clauses)} clauses, {num_vars} vars (no preprocessing)")
-    else:
-        pre = preprocess(clauses, num_vars)
-        print(
-            f"c {len(clauses)} clauses, {num_vars} vars -> "
-            f"{len(pre.clauses)} clauses after preprocessing "
-            f"({pre.stats.units_fixed} units, "
-            f"{pre.stats.pure_literals} pure, "
-            f"{pre.stats.subsumed} subsumed, "
-            f"{pre.stats.strengthened} strengthened, "
-            f"{pre.stats.eliminated_vars} vars eliminated)"
-        )
-        if pre.unsat:
-            solver.add_clause([])  # reflect the verdict in any dump
-            if args.dump is not None:
-                try:
-                    _dump_solver(args.dump, solver)
-                except OSError as exc:
-                    print(
-                        f"error: cannot write --dump {args.dump}: {exc}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            print("s UNSATISFIABLE")
-            return 20
-        for clause in pre.clauses:
-            solver.add_clause(clause)
-        # Re-assert the forced units preprocessing consumed: without
-        # them a --dump would be merely equisatisfiable, and a model
-        # read off the dumped file could violate the original
-        # instance.  (Variables removed by pure-literal/variable
-        # elimination stay unconstrained in the dump — reconstructing
-        # their values needs the in-process model-reconstruction map.)
-        for var, value in pre.assigned.items():
-            solver.add_clause([var if value else -var])
+    for clause in clauses:
+        solver.add_clause(clause)
     solver.ensure_vars(num_vars)
+    print(f"c {len(clauses)} clauses, {num_vars} vars")
 
     if args.dump is not None:
         try:
@@ -716,9 +674,7 @@ def run_solve(argv) -> int:
     if not result.sat:
         print("s UNSATISFIABLE")
         return 20
-    model = dict(result.assignment)
-    if pre is not None:
-        model = pre.reconstruct(model)
+    model = result.assignment
     print("s SATISFIABLE")
     lits = [
         (var if model.get(var, False) else -var)

@@ -77,9 +77,8 @@ def write_solver(
 ) -> None:
     """Dump a :class:`repro.sat.solver.Solver` instance's current
     clause database — root-level units, problem clauses and optionally
-    learned clauses — as DIMACS, so any solver state (e.g. after
-    preprocessing, or mid-way through an incremental query sequence)
-    can be re-read with :func:`read_dimacs` for offline debugging."""
+    learned clauses — as DIMACS, so any solver state (e.g. mid-way
+    through an incremental query sequence) can be re-read with :func:`read_dimacs` for offline debugging."""
     write_dimacs(
         out,
         solver.clause_database(include_learned=include_learned),

@@ -198,9 +198,9 @@ class Solver:
 
     def _occur(self, var: int) -> None:
         """``var`` now occurs in a clause: it becomes a branching
-        candidate.  Variables in no clause (e.g. eliminated by
-        preprocessing) are free: branching on them only pads the
-        trail."""
+        candidate.  Variables in no clause (e.g. declared by a DIMACS
+        header but never used) are free: branching on them only pads
+        the trail."""
         self._occurs[var] = True
         act = self._activity[var]
         heappush(self._order, (-act, var))

@@ -389,6 +389,13 @@ def footprint_digest(fp: Footprint) -> str:
 # -- cached commutativity matrix ---------------------------------------------
 
 
+def _memo_bit(raw: Optional[str]) -> Optional[str]:
+    """A stored ``commute``/``idem`` value, or None when it is missing
+    or damaged (anything but "0"/"1"): the caller recomputes it and
+    overwrites the entry."""
+    return raw if raw in ("0", "1") else None
+
+
 def cached_commutativity_matrix(
     footprints: Mapping[NodeId, Footprint],
     store: IncrementalStore,
@@ -408,13 +415,13 @@ def cached_commutativity_matrix(
     hits = 0
     fresh: Dict[str, str] = {}
     for (a, b), key in pair_key.items():
-        raw = cached.get(key)
+        raw = fresh.get(key)
         if raw is None:
-            raw = fresh.get(key)
+            raw = _memo_bit(cached.get(key))
+            if raw is not None:
+                hits += 1
         if raw is not None:
             commute = raw == "1"
-            if key not in fresh:
-                hits += 1
         else:
             commute = footprints_commute(footprints[a], footprints[b])
             fresh[key] = "1" if commute else "0"
@@ -475,12 +482,12 @@ def check_idempotence_incremental(
         all_idem = True
         fresh: Dict[str, str] = {}
         for n in order:
-            raw = cached_bools.get(digests[n])
+            raw = fresh.get(digests[n])
             if raw is None:
-                raw = fresh.get(digests[n])
-            if raw is not None:
-                if stats is not None:
+                raw = _memo_bit(cached_bools.get(digests[n]))
+                if raw is not None and stats is not None:
                     stats.subtree_reuse_hits += 1
+            if raw is not None:
                 idem = raw == "1"
             else:
                 e = programs[n]

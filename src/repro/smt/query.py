@@ -1,11 +1,10 @@
-"""SAT query plumbing: term → CNF → preprocessing → CDCL → named model.
+"""SAT query plumbing: term → CNF → CDCL → named model.
 
 Two interfaces:
 
 * :class:`Query` — a one-shot satisfiability question.  The formula is
-  Tseitin-encoded, simplified by :mod:`repro.sat.preprocess` (named
-  input variables frozen so the witness model survives), solved, and
-  the model reconstructed back onto the original encoding.
+  Tseitin-encoded, handed to the CDCL solver as encoded, and the
+  model decoded back onto the named input variables.
 
 * :class:`IncrementalQuery` — many related questions over one shared
   solver instance.  Terms asserted with :meth:`IncrementalQuery.assert_term`
@@ -16,14 +15,9 @@ Two interfaces:
   everything the CDCL solver *learns* — are retained across calls, and
   an UNSAT answer carries the subset of the assumptions in the unsat
   core, which the analyses use for fault localization
-  (:mod:`repro.analysis.localize`).
-
-  The clause database existing at the first ``check()`` is preprocessed
-  once, with named variables and selectors frozen.  Terms encoded later
-  share the persistent Tseitin cache; their clauses are simplified
-  against the preprocessor's fixed assignments, and any variable the
-  preprocessor eliminated is soundly re-introduced first
-  (:meth:`repro.sat.preprocess.Preprocessed.restore`).
+  (:mod:`repro.analysis.localize`).  Terms encoded after a ``check()``
+  share the persistent Tseitin cache; their new clauses reach the
+  solver at the next ``check()``.
 """
 
 from __future__ import annotations
@@ -34,13 +28,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.logic.cnf import CNF, TseitinEncoder
 from repro.logic.terms import Term, TermBank
-from repro.sat.preprocess import Preprocessed, preprocess
 from repro.sat.solver import Solver
 
-#: One-shot queries below this clause count skip preprocessing: the
-#: pure-Python simplification passes cost more than the CDCL saves on
-#: instances this size (measured on the §6 corpus; see docs/solver.md).
-PREPROCESS_MIN_CLAUSES = 6000
 
 @dataclass
 class QueryResult:
@@ -53,27 +42,16 @@ class QueryResult:
     core_lits: List[int] = field(default_factory=list)
     num_vars: int = 0
     num_clauses: int = 0
-    #: Instance size actually handed to the CDCL solver, after
-    #: preprocessing (``num_vars``/``num_clauses`` report the raw
-    #: encoding, feeding the Fig. 11 instrumentation as before).
-    solved_clauses: int = 0
-    eliminated_vars: int = 0
     solve_seconds: float = 0.0
     conflicts: int = 0
     decisions: int = 0
 
 
 class Query:
-    """A single satisfiability question over a term bank.
+    """A single satisfiability question over a term bank."""
 
-    ``preprocessing`` — None (default) preprocesses only instances
-    with at least :data:`PREPROCESS_MIN_CLAUSES` clauses; True/False
-    force it on/off.
-    """
-
-    def __init__(self, bank: TermBank, preprocessing: Optional[bool] = None):
+    def __init__(self, bank: TermBank):
         self.bank = bank
-        self.preprocessing = preprocessing
         self._assertions: list[Term] = []
 
     def assert_term(self, term: Term) -> None:
@@ -90,42 +68,19 @@ class Query:
         root_lit = encoder.lit(formula)
         cnf.add([root_lit])
         start = time.perf_counter()
-        preprocessing = self.preprocessing
-        if preprocessing is None:
-            preprocessing = len(cnf.clauses) >= PREPROCESS_MIN_CLAUSES
-        pre: Optional[Preprocessed] = None
-        clauses = cnf.clauses
-        if preprocessing:
-            pre = preprocess(
-                cnf.clauses, cnf.num_vars, frozen=cnf.var_ids.values()
-            )
-            if pre.unsat:
-                return QueryResult(
-                    sat=False,
-                    num_vars=cnf.num_vars,
-                    num_clauses=len(cnf.clauses),
-                    eliminated_vars=pre.stats.eliminated_vars,
-                    solve_seconds=time.perf_counter() - start,
-                )
-            clauses = pre.clauses
         solver = Solver()
-        for clause in clauses:
+        for clause in cnf.clauses:
             solver.add_clause(clause)
         result = solver.solve(max_conflicts=max_conflicts)
         elapsed = time.perf_counter() - start
         named: Dict[str, bool] = {}
         if result.sat:
-            model = result.assignment
-            if pre is not None:
-                model = pre.reconstruct(model)
-            named = cnf.decode(model)
+            named = cnf.decode(result.assignment)
         return QueryResult(
             sat=result.sat,
             named_model=named,
             num_vars=cnf.num_vars,
             num_clauses=len(cnf.clauses),
-            solved_clauses=len(clauses),
-            eliminated_vars=pre.stats.eliminated_vars if pre else 0,
             solve_seconds=elapsed,
             conflicts=result.conflicts,
             decisions=result.decisions,
@@ -133,26 +88,13 @@ class Query:
 
 
 class IncrementalQuery:
-    """Assumption-based incremental solving over one shared solver.
+    """Assumption-based incremental solving over one shared solver."""
 
-    ``preprocessing`` — None (default) preprocesses only when the
-    clause database at the first ``check`` has at least
-    :data:`PREPROCESS_MIN_CLAUSES` clauses; True/False force it.  The
-    cost is paid once and amortized over every later check.
-    """
-
-    def __init__(
-        self,
-        bank: TermBank,
-        preprocessing: Optional[bool] = None,
-    ):
+    def __init__(self, bank: TermBank):
         self.bank = bank
-        self.preprocessing = preprocessing
         self.cnf = CNF()
         self._encoder = TseitinEncoder(self.cnf)
         self._solver = Solver()
-        self._pre: Optional[Preprocessed] = None
-        self._checked = False
         self._flushed = 0  # cnf.clauses already handed to the solver
         self._selectors: Dict[int, str] = {}  # var id -> name
         self.checks = 0
@@ -215,10 +157,7 @@ class IncrementalQuery:
         self.decisions = result.decisions
         named: Dict[str, bool] = {}
         if result.sat:
-            model = result.assignment
-            if self._pre is not None:
-                model = self._pre.reconstruct(model)
-            named = self.cnf.decode(model)
+            named = self.cnf.decode(result.assignment)
         core_names = [
             self._selectors[lit]
             for lit in result.core
@@ -231,10 +170,6 @@ class IncrementalQuery:
             core_lits=list(result.core),
             num_vars=self.cnf.num_vars,
             num_clauses=len(self.cnf.clauses),
-            solved_clauses=len(self._pre.clauses) if self._pre else 0,
-            eliminated_vars=(
-                self._pre.stats.eliminated_vars if self._pre else 0
-            ),
             solve_seconds=elapsed,
             conflicts=call_conflicts,
             decisions=call_decisions,
@@ -243,59 +178,9 @@ class IncrementalQuery:
     # -- internals ----------------------------------------------------------
 
     def _flush(self) -> None:
-        if not self._checked:
-            self._checked = True
-            preprocessing = self.preprocessing
-            if preprocessing is None:
-                preprocessing = (
-                    len(self.cnf.clauses) >= PREPROCESS_MIN_CLAUSES
-                )
-            if preprocessing:
-                # Preprocess the whole database once, freezing the
-                # variables later calls may mention — named inputs and
-                # selectors.
-                frozen = set(self.cnf.var_ids.values()) | set(
-                    self._selectors
-                )
-                self._pre = preprocess(
-                    self.cnf.clauses, self.cnf.num_vars, frozen=frozen
-                )
-                self._flushed = len(self.cnf.clauses)
-                if self._pre.unsat:
-                    self._solver.add_clause([])  # permanently UNSAT
-                    return
-                for clause in self._pre.clauses:
-                    self._solver.add_clause(clause)
-                # Forced assignments on frozen variables must reach
-                # the solver as units: an assumption may contradict
-                # one, and only the solver can report that (with the
-                # right core).
-                for var, value in self._pre.assigned.items():
-                    if var in frozen:
-                        self._solver.add_clause(
-                            [var if value else -var]
-                        )
-                return
-        if self._pre is None:
-            # No preprocessing: hand clauses to the solver verbatim.
-            while self._flushed < len(self.cnf.clauses):
-                self._solver.add_clause(self.cnf.clauses[self._flushed])
-                self._flushed += 1
-            return
-        # Later additions after preprocessing: simplify against the
-        # preprocessor's fixed assignments and re-introduce any
-        # variable it eliminated.
-        pre = self._pre
         while self._flushed < len(self.cnf.clauses):
-            clause = self.cnf.clauses[self._flushed]
+            self._solver.add_clause(self.cnf.clauses[self._flushed])
             self._flushed += 1
-            simplified = pre.simplify_clause(clause)
-            if simplified is None:
-                continue  # already satisfied
-            for lit in simplified:
-                for restored in pre.restore(abs(lit)):
-                    self._solver.add_clause(restored)
-            self._solver.add_clause(simplified)
 
 
 def check_sat(

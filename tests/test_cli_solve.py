@@ -48,10 +48,6 @@ class TestSolveCommand:
         assert code == 20
         assert "s UNSATISFIABLE" in capsys.readouterr().out
 
-    def test_no_preprocess_agrees(self, sat_file, unsat_file, capsys):
-        assert main(["solve", str(sat_file), "--no-preprocess"]) == 10
-        assert main(["solve", str(unsat_file), "--no-preprocess"]) == 20
-
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "nope.cnf")])
         assert code == 2
@@ -61,9 +57,8 @@ class TestSolveCommand:
         dumped = tmp_path / "dumped.cnf"
         assert main(["solve", str(sat_file), "--dump", str(dumped)]) == 10
         capsys.readouterr()
-        # The dumped (post-preprocessing) instance decides the same way.
+        # The dumped solver clause database decides the same way.
         assert main(["solve", str(dumped)]) == 10
-        assert main(["solve", str(dumped), "--no-preprocess"]) == 10
 
     def test_dump_round_trips_unsat(self, unsat_file, tmp_path, capsys):
         dumped = tmp_path / "dumped.cnf"
@@ -72,15 +67,15 @@ class TestSolveCommand:
         assert main(["solve", str(dumped)]) == 20
 
     def test_dump_preserves_forced_units(self, tmp_path, capsys):
-        """Regression: preprocessing consumes forced units; the dump
-        must re-assert them or models of the dumped file can violate
-        the original instance."""
+        """The solver consumes forced units at the root; the dump must
+        still assert them or models of the dumped file can violate the
+        original instance."""
         original = tmp_path / "unit.cnf"
         original.write_text("p cnf 2 2\n1 0\n-1 2 0\n", encoding="utf8")
         dumped = tmp_path / "dumped.cnf"
         assert main(["solve", str(original), "--dump", str(dumped)]) == 10
         capsys.readouterr()
-        assert main(["solve", str(dumped), "--no-preprocess"]) == 10
+        assert main(["solve", str(dumped)]) == 10
         out = capsys.readouterr().out
         model_line = next(
             line for line in out.splitlines() if line.startswith("v ")

@@ -274,22 +274,44 @@ class TestDegradation:
         assert normalized_row(verify(source, opts), "m") == baseline
 
     def test_damaged_entries_are_misses_not_crashes(self, tmp_path):
-        source = load_source("clamav")
+        # clamav fills the `commute` memo; a catalog of disjoint files
+        # commutes pairwise, so it fills the `idem` memo too.
+        sources = [
+            load_source("clamav"),
+            "\n".join(
+                f"file {{ '/etc/app/c{i}.cfg': content => 'v{i}' }}"
+                for i in range(4)
+            ),
+        ]
         opts = incremental_options(tmp_path)
-        baseline = normalized_row(verify(source, scratch_options()), "m")
-        verify(source, opts)
+        baselines = [
+            normalized_row(verify(source, scratch_options()), "m")
+            for source in sources
+        ]
+        for source in sources:
+            verify(source, opts)
         store = open_store(str(tmp_path))
-        rows = []
-        for section in ("commute", "idem"):
-            rows.append((section, "not json {"))
         with store._lock:
-            store._conn.executemany(
-                "UPDATE entries SET value = ? WHERE section = ?",
-                [(v, s) for s, v in rows],
-            )
+            damaged = store._conn.execute(
+                "UPDATE entries SET value = 'not json {' "
+                "WHERE section IN ('commute', 'idem')"
+            ).rowcount
             store._conn.commit()
+        assert damaged > 0
         reset_store_registry()
-        assert normalized_row(verify(source, opts), "m") == baseline
+        for source, baseline in zip(sources, baselines):
+            assert normalized_row(verify(source, opts), "m") == baseline
+        # The re-verify recomputed every damaged entry and wrote it
+        # back, so the next run reuses it instead of missing again.
+        store = open_store(str(tmp_path))
+        with store._lock:
+            values = store._conn.execute(
+                "SELECT section, value FROM entries "
+                "WHERE section IN ('commute', 'idem')"
+            ).fetchall()
+        assert {section for section, _ in values} == {"commute", "idem"}
+        assert len(values) == damaged
+        assert {value for _, value in values} <= {"0", "1"}
 
 
 # -- the idempotence decomposition --------------------------------------------

@@ -88,6 +88,33 @@ class TestVerify:
         )
         assert "Package['nginx']" in graph.nodes
 
+    def test_large_idempotence_query_verdicts(self):
+        """A 30-file catalog whose idempotence query is thousands of
+        clauses: the CDCL solver takes the Tseitin CNF as encoded at
+        every size, and the verdicts stay right."""
+        import networkx as nx
+
+        from repro import DeterminismOptions
+        from repro.analysis.equivalence import check_equivalence
+        from repro.bench.harness import edit_latency_catalog
+        from repro.fs import syntax as fx
+
+        # Explicit, so the incremental store's per-resource
+        # decomposition cannot stand in for the catalog-wide query.
+        tool = Rehearsal(options=DeterminismOptions(incremental=False))
+        source = edit_latency_catalog(30)
+        graph, programs = tool.compile(source)
+        report = tool.verify(
+            source, name="edit-30", compiled=(graph, programs)
+        )
+        assert report.error is None
+        assert report.deterministic is True
+        assert report.idempotent is True
+        e = fx.seq(*[programs[n] for n in nx.topological_sort(graph)])
+        query = check_equivalence(e, fx.seq(e, e))
+        assert query.equivalent
+        assert query.sat_clauses >= 6000
+
 
 class TestRendering:
     def test_nondet_report_mentions_witness(self, tool):

@@ -259,8 +259,9 @@ class TestIncrementalQuery:
         assert set(result.core) == {"kill-a", "kill-b", "kill-c"}
 
     def test_guarded_false_term_unsat_with_core(self):
-        # Regression: preprocessing derives the unit ¬s from s → false;
-        # the solver must still see it so the assumption conflicts.
+        # Regression: s → false encodes as (¬s ∨ f) with the unit ¬f,
+        # so the solver fixes ¬s at the root; assuming s must still
+        # conflict and name s in the core.
         bank = TermBank()
         query = IncrementalQuery(bank)
         query.assert_term(bank.or_(bank.var("x"), bank.var("y")))

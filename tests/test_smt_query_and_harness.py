@@ -51,10 +51,11 @@ class TestQueryLayer:
 
     def test_use_preprocessing_keyword_rejected(self):
         bank = TermBank()
-        with pytest.raises(TypeError):
-            Query(bank, use_preprocessing=False)
-        with pytest.raises(TypeError):
-            IncrementalQuery(bank, use_preprocessing=True)
+        for keyword in ("use_preprocessing", "preprocessing"):
+            with pytest.raises(TypeError):
+                Query(bank, **{keyword: False})
+            with pytest.raises(TypeError):
+                IncrementalQuery(bank, **{keyword: True})
 
 
 class TestHarness:
